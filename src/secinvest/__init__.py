@@ -11,7 +11,6 @@ from .analysis import (
     productivity_ratio,
     optimum_shift_sweep,
 )
-from .cli import run_cli
 from .errors import (
     ContractError,
     DomainError,
@@ -52,6 +51,16 @@ from .scenario_io import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # run_cli is loaded on first use: importing the package leaves the CLI
+    # unloaded, and ``python -m secinvest.cli`` runs cli.py only once
+    if name == "run_cli":
+        from .cli import run_cli
+
+        return run_cli
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "CurvePoint",

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .errors import ContractError, DomainError
@@ -78,8 +79,8 @@ def delta_z(
 def classify_disruptive(report: DeltaZReport, threshold: float) -> bool:
     """True when scenario B's net benefit exceeds A's by more than the
     relative threshold; updates the report in place."""
-    if threshold < 0:
-        raise DomainError(f"threshold must be >= 0, got {threshold}")
+    if not (0 <= threshold < math.inf):
+        raise DomainError(f"threshold must be finite and >= 0, got {threshold}")
     if report.enbis_a > 0:
         disruptive = report.enbis_b > report.enbis_a * (1.0 + threshold)
     else:
@@ -110,14 +111,9 @@ def dominance_check(
     Returns True iff the disrupted curve is >= the baseline at every grid
     point, strictly above it at every z > 0 (when both v and L are positive).
     """
-    base_t, disr_t = period_baseline.technology, period_disrupted.technology
-    same_otherwise = (
-        period_baseline.vulnerability == period_disrupted.vulnerability
-        and period_baseline.loss == period_disrupted.loss
-        and base_t.alpha == disr_t.alpha
-        and base_t.beta == disr_t.beta
-    )
-    if not same_otherwise or base_t.disruptive != 0 or disr_t.disruptive != 1:
+    base_t = period_baseline.technology
+    twin = replace(period_baseline, technology=replace(base_t, disruptive=1))
+    if base_t.disruptive != 0 or period_disrupted != twin:
         raise ContractError(
             "periods must differ only in the disruption flag (baseline 0, disrupted 1)"
         )

@@ -12,13 +12,12 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from .analysis import DEFAULT_DISRUPTION_THRESHOLD, delta_z, optimum_shift_sweep
 from .errors import DomainError, ModelError
 from .model import InvestmentPlan, PeriodSpec, Scenario, TechnologyProfile
 from .optimize import optimize_scenario
 from .scenario_io import (
+    _z_grid,
     emit_curve_csv,
     emit_mix_csv,
     fmt,
@@ -30,16 +29,9 @@ from .scenario_io import (
 def _load_scenario(path: str) -> Scenario:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read scenario file {path}: {exc}") from exc
     return parse_scenario(text)
-
-
-def _parse_amounts(raw: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in raw.split(","))
-    except ValueError as exc:
-        raise DomainError(f"invalid plan amounts {raw!r}") from exc
 
 
 def _parse_values(raw: str, flag: str) -> tuple[float, ...]:
@@ -47,6 +39,13 @@ def _parse_values(raw: str, flag: str) -> tuple[float, ...]:
         return tuple(float(part) for part in raw.split(","))
     except ValueError as exc:
         raise DomainError(f"invalid value list for {flag}: {raw!r}") from exc
+
+
+def _plan_from_flag(raw: str | None, flag: str, scenario: Scenario) -> InvestmentPlan:
+    """Comma-separated amounts, or all zeros when the flag is absent."""
+    if not raw:
+        return InvestmentPlan((0.0,) * scenario.horizon)
+    return InvestmentPlan(_parse_values(raw, flag))
 
 
 def _period_from_args(args, alpha=None, beta=None, disruptive=0) -> PeriodSpec:
@@ -91,20 +90,10 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_mix_curve(args) -> int:
-    period_pre = _period_from_args(args, disruptive=0)
-    period_post = _period_from_args(
-        args,
-        alpha=args.alpha_post if args.alpha_post is not None else args.alpha,
-        beta=args.beta_post if args.beta_post is not None else args.beta,
-        disruptive=1,
-    )
+    period_pre = _period_from_args(args)
+    period_post = _period_from_args(args, args.alpha_post, args.beta_post, 1)
     z_max = args.z_max if args.z_max is not None else args.vulnerability * args.loss
-    if args.z_min < 0 or z_max <= args.z_min or args.steps < 2:
-        raise DomainError(
-            f"need 0 <= z_min < z_max and steps >= 2, got "
-            f"z_min={args.z_min}, z_max={z_max}, steps={args.steps}"
-        )
-    grid = np.linspace(args.z_min, z_max, args.steps + 1)
+    grid = _z_grid(args.z_min, z_max, args.steps)
     csv_text = emit_mix_csv(period_pre, period_post, args.switch_index, grid)
     sys.stdout.write(csv_text)
     if args.svg:
@@ -129,16 +118,8 @@ def _cmd_delta_z(args) -> int:
         plan_a = optimize_scenario(scenario_a).plan
         plan_b = optimize_scenario(scenario_b).plan
     else:
-        plan_a = InvestmentPlan(
-            _parse_amounts(args.plan_a)
-            if args.plan_a
-            else (0.0,) * scenario_a.horizon
-        )
-        plan_b = InvestmentPlan(
-            _parse_amounts(args.plan_b)
-            if args.plan_b
-            else (0.0,) * scenario_b.horizon
-        )
+        plan_a = _plan_from_flag(args.plan_a, "--plan-a", scenario_a)
+        plan_b = _plan_from_flag(args.plan_b, "--plan-b", scenario_b)
     report = delta_z(scenario_a, plan_a, scenario_b, plan_b, args.threshold)
     print(f"delta_z={fmt(report.delta_z)}")
     print(f"enbis_a={fmt(report.enbis_a)}")

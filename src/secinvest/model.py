@@ -6,14 +6,26 @@ safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import ContractError, DomainError
+from .errors import ContractError, DomainError, NumericError
 
 ArrayLike = Union[float, np.ndarray]
+
+
+def _finite(name: str, value) -> None:
+    """Reject anything but a finite real number: bools, non-numbers, nan,
+    +-inf and ints too large for a float."""
+    try:
+        if not isinstance(value, bool) and math.isfinite(value):
+            return
+    except (TypeError, OverflowError):
+        pass
+    raise DomainError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -30,14 +42,15 @@ class TechnologyProfile:
     disruptive: int = 0
 
     def __post_init__(self) -> None:
-        if not (self.alpha > 0):
+        _finite("alpha", self.alpha)
+        if self.alpha <= 0:
             raise DomainError(f"alpha must be > 0, got {self.alpha}")
-        if not (self.beta >= 1):
+        _finite("beta", self.beta)
+        if self.beta < 1:
             raise DomainError(f"beta must be >= 1, got {self.beta}")
-        if self.disruptive not in (0, 1):
-            raise DomainError(
-                f"disruptive must be the dummy 0 or 1, got {self.disruptive}"
-            )
+        d = self.disruptive
+        if not (type(d) is int and d in (0, 1)):
+            raise DomainError(f"disruptive must be the dummy 0 or 1, got {d!r}")
 
     @property
     def exponent(self) -> float:
@@ -54,11 +67,13 @@ class PeriodSpec:
     technology: TechnologyProfile
 
     def __post_init__(self) -> None:
+        _finite("vulnerability", self.vulnerability)
         if not (0.0 <= self.vulnerability <= 1.0):
             raise DomainError(
                 f"vulnerability must lie in [0, 1], got {self.vulnerability}"
             )
-        if not (self.loss >= 0.0):
+        _finite("loss", self.loss)
+        if self.loss < 0.0:
             raise DomainError(f"loss must be >= 0, got {self.loss}")
 
 
@@ -86,10 +101,12 @@ class InvestmentPlan:
     amounts: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "amounts", tuple(float(a) for a in self.amounts))
-        for i, a in enumerate(self.amounts):
-            if not (a >= 0.0):
+        amounts = tuple(self.amounts)
+        for i, a in enumerate(amounts):
+            _finite(f"amounts[{i}]", a)
+            if a < 0.0:
                 raise DomainError(f"amounts[{i}] must be >= 0, got {a}")
+        object.__setattr__(self, "amounts", tuple(float(a) for a in amounts))
 
     @property
     def total(self) -> float:
@@ -127,7 +144,7 @@ def sbpf_eval(z: ArrayLike, v: float, tech: TechnologyProfile) -> ArrayLike:
     Accepts a scalar or ndarray ``z``; broadcasts elementwise.
     """
     z_arr = np.asarray(z, dtype=float)
-    if np.any(z_arr < 0):
+    if not np.all(z_arr >= 0):
         raise DomainError(f"z must be >= 0, got {z}")
     if not (0.0 <= v <= 1.0):
         raise DomainError(f"v must lie in [0, 1], got {v}")
@@ -152,6 +169,8 @@ def enbis_eval(plan: InvestmentPlan, scenario: Scenario) -> float:
     total = 0.0
     for z, period in zip(plan.amounts, scenario.periods):
         total += ebis_eval(z, period) - z
+    if not math.isfinite(total):
+        raise NumericError(f"net benefit of {scenario.label!r} overflows a float")
     return total
 
 
@@ -180,21 +199,14 @@ def ebis_mix_curve(
             raise ContractError("pre-switch technology must have disruptive=0")
         if period_post.technology.disruptive != 1:
             raise ContractError("post-switch technology must have disruptive=1")
+    if switch_index < 0:
+        raise DomainError(f"switch_index must be >= 0, got {switch_index}")
     points = []
     for i, z in enumerate(z_grid):
         branch = "pre" if i < switch_index else "post"
         period = period_pre if branch == "pre" else period_post
         cp = curve_point(float(z), period)
-        points.append(
-            MixPoint(
-                index=i,
-                branch=branch,
-                z=cp.z,
-                ebis=cp.ebis,
-                enbis=cp.enbis,
-                breach_probability=cp.breach_probability,
-            )
-        )
+        points.append(MixPoint(index=i, branch=branch, **vars(cp)))
     return points
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import DomainError
 from .model import (
     InvestmentPlan,
     PeriodSpec,
@@ -24,6 +24,10 @@ from .model import (
 )
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# each step shrinks the bracket by _INV_PHI, and 3100 steps take even the
+# largest float below the smallest one; the cap only ends searches whose tol
+# is finer than the float spacing near the optimum
+_GOLDEN_MAX_STEPS = 3100
 
 
 @dataclass(frozen=True)
@@ -59,24 +63,38 @@ def closed_form_optimum(period: PeriodSpec) -> float:
     alpha = period.technology.alpha
     k = period.technology.exponent
     interior = alpha * k * v * loss
-    if interior <= 1.0:
+    if interior == math.inf:
+        # a partial product overflowed, so no factor is zero: sum the logs,
+        # whose total can still put the true product at or below 1
+        log_interior = sum(math.log(x) for x in (alpha, k, v, loss))
+    elif interior > 1.0:
+        log_interior = math.log(interior)
+    else:  # includes nan, from inf * 0 when v or loss is zero
         return 0.0
-    return (interior ** (1.0 / (k + 1.0)) - 1.0) / alpha
+    if log_interior <= 0.0:
+        return 0.0
+    # expm1 keeps full precision as interior -> 1 (the corner)
+    return math.expm1(log_interior / (k + 1.0)) / alpha
 
 
 def golden_section_optimum(period: PeriodSpec, z_max: float, tol: float) -> float:
     """Golden-section maximizer of the per-period net benefit on [0, z_max].
 
-    The class-I objective is concave, hence unimodal on any interval.
+    The class-I objective is concave, hence unimodal on any interval. Stops
+    once the bracket is narrower than ``tol``, or at a fixed cap of steps.
     """
+    if not (0 <= z_max < math.inf):
+        raise DomainError(f"z_max must be finite and >= 0, got {z_max}")
+    if not (0 < tol < math.inf):
+        raise DomainError(f"tol must be finite and > 0, got {tol}")
     a, b = 0.0, float(z_max)
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc = period_enbis(c, period)
     fd = period_enbis(d, period)
-    if not (np.isfinite(fc) and np.isfinite(fd)):
-        raise NumericError("objective is not finite on the search interval")
-    while b - a > tol:
+    for _ in range(_GOLDEN_MAX_STEPS):
+        if b - a <= tol:
+            break
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)
@@ -85,8 +103,6 @@ def golden_section_optimum(period: PeriodSpec, z_max: float, tol: float) -> floa
             a, c, fc = c, d, fd
             d = a + _INV_PHI * (b - a)
             fd = period_enbis(d, period)
-        if not (np.isfinite(fc) and np.isfinite(fd)):
-            raise NumericError("objective is not finite on the search interval")
     mid = 0.5 * (a + b)
     # the corner z=0 can beat the interior midpoint when the optimum is flat
     return 0.0 if period_enbis(0.0, period) >= period_enbis(mid, period) else mid
@@ -97,6 +113,10 @@ def grid_oracle(period: PeriodSpec, z_max: float, steps: int) -> float:
 
     Ties break toward the smallest z (np.argmax returns the first maximum).
     """
+    if not (0 <= z_max < math.inf):
+        raise DomainError(f"z_max must be finite and >= 0, got {z_max}")
+    if steps < 1:
+        raise DomainError(f"steps must be >= 1, got {steps}")
     z = np.linspace(0.0, float(z_max), int(steps) + 1)
     values = period_enbis(z, period)
     return float(z[int(np.argmax(values))])

@@ -1,7 +1,7 @@
 """Scenario file parsing and deterministic CSV / SVG emission.
 
-Scenario files are strict JSON: unknown fields are rejected and every
-model invariant is enforced at parse time with a field-addressed message.
+Scenario files are strict JSON: unknown fields are rejected, and the
+domain types' own checks run at parse time with field-addressed messages.
 CSV output uses fixed 6-digit decimals and LF line endings so golden
 files stay byte-stable.
 """
@@ -9,6 +9,8 @@ files stay byte-stable.
 from __future__ import annotations
 
 import json
+import math
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -32,21 +34,17 @@ def fmt(x: float) -> str:
     return f"{x + 0.0:.6f}"
 
 
-def _number(obj: dict, key: str, where: str) -> float:
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParseError(f"{where}.{key} must be a number, got {value!r}")
-    return value
-
-
 def parse_scenario(document: str) -> Scenario:
-    """Parse and validate a scenario JSON document."""
+    """Parse a scenario JSON document; the domain types validate each period
+    and their errors come back addressed to the offending field."""
     try:
         data = json.loads(document)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal beyond the digit limit
+        raise ParseError(f"invalid number: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError("top-level value must be an object")
     unknown = set(data) - {"label", "periods"}
@@ -56,6 +54,8 @@ def parse_scenario(document: str) -> Scenario:
         raise ParseError("label must be present and a string")
     if "periods" not in data or not isinstance(data["periods"], list):
         raise ParseError("periods must be present and a list")
+    if not data["periods"]:
+        raise ParseError("periods must contain at least one entry")
 
     periods = []
     for i, entry in enumerate(data["periods"]):
@@ -68,26 +68,11 @@ def parse_scenario(document: str) -> Scenario:
         missing = set(_PERIOD_FIELDS) - set(entry)
         if missing:
             raise ParseError(f"{where} is missing fields: {sorted(missing)}")
-        v = _number(entry, "vulnerability", where)
-        loss = _number(entry, "loss", where)
-        alpha = _number(entry, "alpha", where)
-        beta = _number(entry, "beta", where)
-        d = entry["disruptive"]
-        if not (0.0 <= v <= 1.0):
-            raise ParseError(f"{where}.vulnerability must lie in [0, 1], got {v}")
-        if loss < 0:
-            raise ParseError(f"{where}.loss must be >= 0, got {loss}")
-        if not alpha > 0:
-            raise ParseError(f"{where}.alpha must be > 0, got {alpha}")
-        if not beta >= 1:
-            raise ParseError(f"{where}.beta must be >= 1, got {beta}")
-        if isinstance(d, bool) or d not in (0, 1):
-            raise ParseError(
-                f"{where}.disruptive must be the dummy 0 or 1, got {d!r}"
-            )
-        periods.append(PeriodSpec(v, loss, TechnologyProfile(alpha, beta, d)))
-    if not periods:
-        raise ParseError("periods must contain at least one entry")
+        try:
+            tech = TechnologyProfile(entry["alpha"], entry["beta"], entry["disruptive"])
+            periods.append(PeriodSpec(entry["vulnerability"], entry["loss"], tech))
+        except DomainError as exc:
+            raise ParseError(f"{where}.{exc}") from exc
     return Scenario(label=data["label"], periods=tuple(periods))
 
 
@@ -112,9 +97,9 @@ def scenario_to_json(scenario: Scenario) -> str:
 
 
 def _z_grid(z_min: float, z_max: float, steps: int) -> np.ndarray:
-    if z_min < 0 or z_max <= z_min or steps < 2:
+    if not (0 <= z_min < z_max < math.inf) or steps < 2:
         raise DomainError(
-            f"need 0 <= z_min < z_max and steps >= 2, got "
+            f"need finite 0 <= z_min < z_max and steps >= 2, got "
             f"z_min={z_min}, z_max={z_max}, steps={steps}"
         )
     return np.linspace(float(z_min), float(z_max), int(steps) + 1)
@@ -131,14 +116,9 @@ def emit_curve_csv(
     (dummy raised to 1) counterpart alongside; footer rows carry each
     curve's optimal investment."""
     grid = _z_grid(z_min, z_max, steps)
-    tech = period.technology
     disrupted = None
     if include_disrupted:
-        disrupted = PeriodSpec(
-            period.vulnerability,
-            period.loss,
-            TechnologyProfile(tech.alpha, tech.beta, 1),
-        )
+        disrupted = replace(period, technology=replace(period.technology, disruptive=1))
 
     header = "z,ebis_0,enbis_0"
     if include_disrupted:

@@ -183,3 +183,17 @@ class TestOptimumShiftSweep:
         records = optimum_shift_sweep([2.0, 1.0], [1.0, 3.0], [0.5], [10.0])
         keys = [(r.alpha, r.beta, r.vulnerability, r.loss) for r in records]
         assert keys == sorted(keys)
+
+
+class TestThresholdDomain:
+    @pytest.mark.parametrize("threshold", [-0.1, math.nan, math.inf])
+    def test_classify_rejects(self, threshold):
+        report = TestClassifyDisruptive().report(1.0, 2.0)
+        with pytest.raises(DomainError, match="threshold"):
+            classify_disruptive(report, threshold)
+
+    def test_delta_z_rejects_nan_threshold(self):
+        a = scenario("a")
+        plan = InvestmentPlan((1.0,))
+        with pytest.raises(DomainError, match="threshold"):
+            delta_z(a, plan, a, plan, threshold=math.nan)

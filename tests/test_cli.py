@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import secinvest
 from secinvest import run_cli
 
 ONE_PERIOD_VL10 = {
@@ -179,3 +184,80 @@ def test_mix_curve_switch(capsys):
     assert lines[0] == "index,branch,z,ebis"
     branches = [ln.split(",")[1] for ln in lines[1:]]
     assert branches == ["pre", "pre", "post", "post", "post"]
+
+
+PERIOD_ARGS = ["--vulnerability", "0.5", "--loss", "100", "--alpha", "1", "--beta", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["curve", "--vulnerability", "0.5", "--loss", "100", "--alpha", "inf", "--beta", "1"],
+        ["curve", *PERIOD_ARGS, "--z-max", "nan"],
+        ["curve", *PERIOD_ARGS, "--z-max", "inf"],
+        ["mix-curve", *PERIOD_ARGS, "--switch-index", "1", "--z-max", "nan"],
+        ["mix-curve", *PERIOD_ARGS, "--switch-index", "-5", "--z-max", "2"],
+        ["sweep", "--alpha", "inf"],
+        ["sweep", "--loss", "4,nan"],
+    ],
+)
+def test_non_finite_or_out_of_range_flags_exit_1(argv, capsys):
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "nan" not in captured.out and "inf" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "flags", [["--plan-a", "inf"], ["--plan-b", "1,nan"], ["--threshold", "nan"]]
+)
+def test_delta_z_non_finite_flags_exit_1(flags, scenario_file, capsys):
+    path = scenario_file("a.json", ONE_PERIOD_VL10)
+    assert run_cli(["delta-z", path, path, *flags]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "field, raw",
+    [
+        ("loss", "Infinity"),
+        pytest.param("loss", "9" * 400, id="loss-400-digits"),
+        ("alpha", "NaN"),
+        ("disruptive", "1.0"),
+    ],
+)
+def test_scenario_domain_errors_exit_1(field, raw, tmp_path, capsys):
+    text = json.dumps(ONE_PERIOD_VL10).replace(
+        f'"{field}": {ONE_PERIOD_VL10["periods"][0][field]}', f'"{field}": {raw}'
+    )
+    assert raw in text
+    path = tmp_path / "s.json"
+    path.write_text(text)
+    assert run_cli(["optimize", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: periods[0].{field} ")
+    assert captured.out == ""
+
+
+def _run_python(*args):
+    env = dict(os.environ, PYTHONPATH=str(Path(secinvest.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, check=False
+    )
+
+
+def test_module_entry_point_writes_nothing_to_stderr():
+    result = _run_python("-m", "secinvest.cli", "sweep")
+    assert result.returncode == 0
+    assert result.stderr == ""
+    assert result.stdout.startswith("alpha,beta,")
+
+
+def test_package_import_does_not_load_the_cli():
+    code = (
+        "import sys, secinvest; assert 'secinvest.cli' not in sys.modules; "
+        "from secinvest import run_cli; assert 'secinvest.cli' in sys.modules; "
+        "assert len(secinvest.__all__) == 39"
+    )
+    result = _run_python("-c", code)
+    assert result.returncode == 0, result.stderr

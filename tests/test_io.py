@@ -125,3 +125,58 @@ class TestSvg:
         svg = render_curve_svg(csv_text)
         assert svg.count("<polyline") == 4
         assert svg.startswith("<svg")
+
+
+class TestParseDomain:
+    @pytest.mark.parametrize(
+        "field, raw, message",
+        [
+            ("beta", "0.5", "periods[0].beta must be >= 1, got 0.5"),
+            ("alpha", "0", "periods[0].alpha must be > 0, got 0"),
+            ("vulnerability", "1.5", "periods[0].vulnerability must lie in [0, 1], got 1.5"),
+            ("loss", "-1", "periods[0].loss must be >= 0, got -1"),
+            ("disruptive", "2", "periods[0].disruptive must be the dummy 0 or 1, got 2"),
+            ("disruptive", "1.0", "periods[0].disruptive must be the dummy 0 or 1, got 1.0"),
+            ("disruptive", "true", "periods[0].disruptive must be the dummy 0 or 1, got True"),
+            ("loss", "Infinity", "periods[0].loss must be a finite number, got inf"),
+            ("alpha", "NaN", "periods[0].alpha must be a finite number, got nan"),
+            ("beta", "-Infinity", "periods[0].beta must be a finite number, got -inf"),
+            ("vulnerability", "true", "periods[0].vulnerability must be a finite number, got True"),
+            ("loss", '"100"', "periods[0].loss must be a finite number, got '100'"),
+            pytest.param(
+                "loss",
+                "9" * 400,
+                f"periods[0].loss must be a finite number, got {'9' * 400}",
+                id="loss-400-digits",
+            ),
+        ],
+    )
+    def test_field_addressed_message(self, field, raw, message):
+        value = {"vulnerability": "0.5", "loss": "100", "alpha": "1", "beta": "1",
+                 "disruptive": "0", field: raw}
+        doc = (
+            '{"label": "x", "periods": [{'
+            + ", ".join(f'"{k}": {v}' for k, v in value.items())
+            + "}]}"
+        )
+        with pytest.raises(ParseError) as info:
+            parse_scenario(doc)
+        assert str(info.value) == message
+
+    def test_integer_beyond_digit_limit(self):
+        doc = MINIMAL.replace('"loss": 100', '"loss": ' + "9" * 5000)
+        with pytest.raises(ParseError, match="invalid number"):
+            parse_scenario(doc)
+
+    def test_error_addresses_the_period_index(self):
+        doc = MINIMAL.replace("]", ', {"vulnerability": 0.5, "loss": 1, "alpha": 1,'
+                              ' "beta": 1, "disruptive": 1.0}]')
+        with pytest.raises(ParseError, match=r"^periods\[1\]\.disruptive"):
+            parse_scenario(doc)
+
+    @pytest.mark.parametrize(
+        "z_min, z_max", [(0.0, float("nan")), (0.0, float("inf")), (float("nan"), 1.0)]
+    )
+    def test_non_finite_grid_rejected(self, z_min, z_max):
+        with pytest.raises(DomainError, match="finite"):
+            emit_curve_csv(period(), z_min, z_max, 10)

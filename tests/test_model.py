@@ -7,6 +7,7 @@ from secinvest import (
     ContractError,
     DomainError,
     InvestmentPlan,
+    NumericError,
     PeriodSpec,
     Scenario,
     TechnologyProfile,
@@ -211,3 +212,61 @@ class TestMixCurve:
     def test_wrong_flags_rejected(self):
         with pytest.raises(ContractError, match="disruptive"):
             ebis_mix_curve(period(tech=T1), period(), 1, [0.0, 1.0])
+
+
+NOT_FINITE = [
+    math.nan,
+    math.inf,
+    -math.inf,
+    True,
+    pytest.param(10**400, id="400-digits"),
+    "1",
+    None,
+]
+
+
+class TestFiniteInputs:
+    @pytest.mark.parametrize("value", NOT_FINITE)
+    @pytest.mark.parametrize("field", ["alpha", "beta"])
+    def test_technology_rejects(self, field, value):
+        kwargs = {"alpha": 1.0, "beta": 1.0, field: value}
+        with pytest.raises(DomainError, match=f"^{field} must be a finite number"):
+            TechnologyProfile(**kwargs)
+
+    @pytest.mark.parametrize("value", NOT_FINITE)
+    @pytest.mark.parametrize("field", ["vulnerability", "loss"])
+    def test_period_rejects(self, field, value):
+        kwargs = {"vulnerability": 0.5, "loss": 10.0, "technology": T0, field: value}
+        with pytest.raises(DomainError, match=f"^{field} must be a finite number"):
+            PeriodSpec(**kwargs)
+
+    @pytest.mark.parametrize("value", NOT_FINITE)
+    def test_plan_rejects(self, value):
+        with pytest.raises(DomainError, match=r"^amounts\[1\] must be a finite"):
+            InvestmentPlan((1.0, value))
+
+    @pytest.mark.parametrize("dummy", [1.0, 0.0, True, False, np.int64(1), 2])
+    def test_dummy_must_be_a_plain_int(self, dummy):
+        with pytest.raises(DomainError, match=r"^disruptive must be the dummy"):
+            TechnologyProfile(alpha=1.0, beta=1.0, disruptive=dummy)
+
+    def test_range_messages_name_the_bare_field(self):
+        with pytest.raises(DomainError) as info:
+            TechnologyProfile(alpha=1.0, beta=0.5)
+        assert str(info.value) == "beta must be >= 1, got 0.5"
+
+    def test_plan_accepts_a_generator(self):
+        assert InvestmentPlan(a for a in (1, 2.5)).amounts == (1.0, 2.5)
+
+    def test_nan_z_rejected(self):
+        with pytest.raises(DomainError, match="z"):
+            sbpf_eval(np.array([0.0, math.nan]), 0.5, T0)
+
+    def test_negative_switch_index_rejected(self):
+        with pytest.raises(DomainError, match="switch_index"):
+            ebis_mix_curve(period(), period(tech=T1), -5, [0.0, 1.0])
+
+    def test_overflowing_total_raises(self):
+        big = period(v=1.0, loss=1.7e308)
+        with pytest.raises(NumericError, match="overflows"):
+            enbis_eval(InvestmentPlan((1e6, 1e6)), Scenario("big", (big, big)))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from secinvest import (
+    DomainError,
     PeriodSpec,
     Scenario,
     TechnologyProfile,
@@ -165,3 +166,69 @@ class TestOptimizeScenario:
                 )
             )
             assert enbis_eval(alt, sc) <= result.enbis_total + 1e-9
+
+
+def mp_z_star(p):
+    """50-digit reference for the closed form, from the exact float inputs."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        alpha = mpmath.mpf(p.technology.alpha)
+        k = mpmath.mpf(p.technology.beta) + p.technology.disruptive
+        interior = alpha * k * mpmath.mpf(p.vulnerability) * mpmath.mpf(p.loss)
+        if interior <= 1:
+            return mpmath.mpf(0)
+        return (interior ** (1 / (k + 1)) - 1) / alpha
+
+
+class TestClosedFormPrecision:
+    # v = 0.5 and loss = 2/k make alpha*k*v*loss == alpha exactly, so the
+    # distance to the corner is set by alpha alone
+    @pytest.mark.parametrize("beta, d", [(1.0, 0), (1.0, 1), (2.0, 0), (3.0, 1)])
+    @pytest.mark.parametrize("gap", [1e-14, 1e-12, 1e-10, 1e-7, 1e-4, 1e-1, 10.0, 1e3])
+    def test_near_corner_against_mpmath(self, beta, d, gap):
+        k = beta + d
+        p = period(v=0.5, loss=2.0 / k, alpha=1.0 + gap, beta=beta, d=d)
+        assert p.technology.alpha * k * p.vulnerability * p.loss == 1.0 + gap
+        exact = mp_z_star(p)
+        assert exact > 0
+        assert abs((closed_form_optimum(p) - exact) / exact) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "alpha, loss, beta", [(1e300, 1e300, 1.0), (1.7e308, 1.7e308, 1.0), (1e-3, 1e308, 1e308)]
+    )
+    def test_overflowing_product_stays_finite(self, alpha, loss, beta):
+        p = period(v=1.0, loss=loss, alpha=alpha, beta=beta)
+        z = closed_form_optimum(p)
+        assert math.isfinite(z)
+        assert z == pytest.approx(float(mp_z_star(p)), rel=1e-12)
+
+    def test_overflowing_partial_product_at_the_corner(self):
+        # alpha*k overflows, yet alpha*k*v*L = 1e310 * 1e-320 is below 1
+        p = period(v=1e-300, loss=1e-20, alpha=1e10, beta=1e300)
+        assert closed_form_optimum(p) == 0.0
+
+
+class TestSearchArguments:
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
+    def test_golden_rejects_bad_tol(self, tol):
+        with pytest.raises(DomainError, match="tol"):
+            golden_section_optimum(period(), 50.0, tol)
+
+    @pytest.mark.parametrize("z_max", [-1.9, math.nan, math.inf])
+    def test_search_rejects_bad_z_max(self, z_max):
+        with pytest.raises(DomainError, match="z_max"):
+            golden_section_optimum(period(), z_max, 1e-8)
+        with pytest.raises(DomainError, match="z_max"):
+            grid_oracle(period(), z_max, 10)
+
+    @pytest.mark.parametrize("z_max", [50.0, 1e300])
+    def test_golden_terminates_below_float_resolution(self, z_max):
+        p = period()
+        assert golden_section_optimum(p, z_max, 1e-300) == pytest.approx(
+            closed_form_optimum(p), rel=1e-6
+        )
+
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_grid_rejects_bad_steps(self, steps):
+        with pytest.raises(DomainError, match="steps"):
+            grid_oracle(period(), 10.0, steps)
