@@ -19,13 +19,10 @@ from .errors import (
     ParseError,
 )
 from .model import (
-    CurvePoint,
     InvestmentPlan,
-    MixPoint,
     PeriodSpec,
     Scenario,
     TechnologyProfile,
-    curve_point,
     ebis_eval,
     ebis_mix_curve,
     enbis_eval,
@@ -40,7 +37,6 @@ from .optimize import (
     grid_oracle,
     optimize_period,
     optimize_scenario,
-    period_enbis,
 )
 from .scenario_io import (
     emit_curve_csv,
@@ -63,13 +59,11 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
-    "CurvePoint",
     "ContractError",
     "DEFAULT_DISRUPTION_THRESHOLD",
     "DeltaZReport",
     "DomainError",
     "InvestmentPlan",
-    "MixPoint",
     "ModelError",
     "NumericError",
     "OptimizationResult",
@@ -81,7 +75,6 @@ __all__ = [
     "TechnologyProfile",
     "classify_disruptive",
     "closed_form_optimum",
-    "curve_point",
     "delta_z",
     "dominance_check",
     "ebis_eval",
@@ -95,7 +88,6 @@ __all__ = [
     "optimize_period",
     "optimize_scenario",
     "parse_scenario",
-    "period_enbis",
     "productivity_ratio",
     "optimum_shift_sweep",
     "render_curve_svg",

@@ -7,14 +7,16 @@ import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
+import numpy as np
+
 from .errors import ContractError, DomainError
 from .model import (
     InvestmentPlan,
     PeriodSpec,
     Scenario,
     TechnologyProfile,
-    ebis_eval,
     enbis_eval,
+    sbpf_eval,
 )
 from .optimize import closed_form_optimum
 
@@ -22,7 +24,7 @@ DEFAULT_DISRUPTION_THRESHOLD = 0.10
 SHIFT_TOLERANCE = 1e-9
 
 
-@dataclass
+@dataclass(frozen=True)
 class DeltaZReport:
     """Outcome of comparing two equal-duration scenarios at given plans."""
 
@@ -64,32 +66,25 @@ def delta_z(
         )
     enbis_a = enbis_eval(plan_a, scenario_a)
     enbis_b = enbis_eval(plan_b, scenario_b)
-    report = DeltaZReport(
+    disruptive = classify_disruptive(enbis_a, enbis_b, threshold)
+    return DeltaZReport(
         delta_z=enbis_a - enbis_b,
         enbis_a=enbis_a,
         enbis_b=enbis_b,
         period_count=scenario_a.horizon,
-        classified_disruptive=False,
+        classified_disruptive=disruptive,
         threshold_used=threshold,
     )
-    classify_disruptive(report, threshold)
-    return report
 
 
-def classify_disruptive(report: DeltaZReport, threshold: float) -> bool:
+def classify_disruptive(enbis_a: float, enbis_b: float, threshold: float) -> bool:
     """True when scenario B's net benefit exceeds A's by more than the
-    relative threshold; updates the report in place."""
+    relative threshold (an absolute margin when ENBIS(A) <= 0)."""
     if not (0 <= threshold < math.inf):
         raise DomainError(f"threshold must be finite and >= 0, got {threshold}")
-    if report.enbis_a > 0:
-        disruptive = report.enbis_b > report.enbis_a * (1.0 + threshold)
-    else:
-        disruptive = report.enbis_b - report.enbis_a > threshold * max(
-            1.0, abs(report.enbis_a)
-        )
-    report.classified_disruptive = disruptive
-    report.threshold_used = threshold
-    return disruptive
+    if enbis_a > 0:
+        return enbis_b > enbis_a * (1.0 + threshold)
+    return enbis_b - enbis_a > threshold * max(1.0, abs(enbis_a))
 
 
 def productivity_ratio(plan_a: InvestmentPlan, plan_b: InvestmentPlan) -> float:
@@ -108,8 +103,10 @@ def dominance_check(
     """Pointwise dominance of the disrupted benefit curve over the baseline.
 
     The two periods must be identical apart from the disruption dummy.
-    Returns True iff the disrupted curve is >= the baseline at every grid
-    point, strictly above it at every z > 0 (when both v and L are positive).
+    Returns True iff the disrupted curve is >= the baseline at every point of
+    the array ``z_grid``, strictly above it at every z > 0 (when both v and L
+    are positive). EBIS is (v - S)*L, so for L > 0 this compares the breach
+    probabilities S, which keep their order where both EBIS round to v*L.
     """
     base_t = period_baseline.technology
     twin = replace(period_baseline, technology=replace(base_t, disruptive=1))
@@ -117,14 +114,14 @@ def dominance_check(
         raise ContractError(
             "periods must differ only in the disruption flag (baseline 0, disrupted 1)"
         )
-    positive_stakes = period_baseline.vulnerability > 0 and period_baseline.loss > 0
-    for z in z_grid:
-        ebis_base = ebis_eval(float(z), period_baseline)
-        ebis_disr = ebis_eval(float(z), period_disrupted)
-        if ebis_disr < ebis_base:
-            return False
-        if positive_stakes and z > 0 and not (ebis_disr > ebis_base):
-            return False
+    z = np.asarray(z_grid, dtype=float)
+    v = period_baseline.vulnerability
+    s_base = sbpf_eval(z, v, base_t)
+    s_disr = sbpf_eval(z, v, period_disrupted.technology)
+    if not np.all(s_disr <= s_base):
+        return False
+    if v > 0 and period_baseline.loss > 0:
+        return bool(np.all(s_disr[z > 0] < s_base[z > 0]))
     return True
 
 

@@ -116,35 +116,16 @@ class InvestmentPlan:
         return len(self.amounts)
 
 
-@dataclass(frozen=True)
-class CurvePoint:
-    """One sample of the benefit curves at investment level z."""
-
-    z: float
-    ebis: float
-    enbis: float
-    breach_probability: float
-
-
-@dataclass(frozen=True)
-class MixPoint:
-    """One sample of the piecewise (pre/post switch) benefit curve."""
-
-    index: int
-    branch: str  # "pre" or "post"
-    z: float
-    ebis: float
-    enbis: float
-    breach_probability: float
-
-
+# alpha*z + 1 or its power may overflow to inf, which correctly gives S = 0
+@np.errstate(over="ignore")
 def sbpf_eval(z: ArrayLike, v: float, tech: TechnologyProfile) -> ArrayLike:
     """Breach probability v / (alpha*z + 1)**(beta + d); lies in [0, v].
 
-    Accepts a scalar or ndarray ``z``; broadcasts elementwise.
+    Takes a scalar or an ndarray ``z`` and returns the same shape, evaluated
+    elementwise.
     """
     z_arr = np.asarray(z, dtype=float)
-    if not np.all(z_arr >= 0):
+    if not (z_arr >= 0).all():
         raise DomainError(f"z must be >= 0, got {z}")
     if not (0.0 <= v <= 1.0):
         raise DomainError(f"v must lie in [0, 1], got {v}")
@@ -153,7 +134,10 @@ def sbpf_eval(z: ArrayLike, v: float, tech: TechnologyProfile) -> ArrayLike:
 
 
 def ebis_eval(z: ArrayLike, period: PeriodSpec) -> ArrayLike:
-    """Expected benefit [v - S(z, v)] * L; in [0, v*L), nondecreasing in z."""
+    """Expected benefit [v - S(z, v)] * L; in [0, v*L), nondecreasing in z.
+
+    Takes a scalar or an ndarray ``z`` and returns the same shape.
+    """
     s = sbpf_eval(z, period.vulnerability, period.technology)
     out = (period.vulnerability - np.asarray(s)) * period.loss
     return float(out) if np.isscalar(z) or np.asarray(z).ndim == 0 else out
@@ -174,21 +158,14 @@ def enbis_eval(plan: InvestmentPlan, scenario: Scenario) -> float:
     return total
 
 
-def curve_point(z: float, period: PeriodSpec) -> CurvePoint:
-    """Sample EBIS/ENBIS and breach probability at one investment level."""
-    s = sbpf_eval(z, period.vulnerability, period.technology)
-    ebis = (period.vulnerability - s) * period.loss
-    return CurvePoint(z=z, ebis=ebis, enbis=ebis - z, breach_probability=s)
-
-
 def ebis_mix_curve(
     period_pre: PeriodSpec,
     period_post: PeriodSpec,
     switch_index: int,
     z_grid: Sequence[float],
-) -> list[MixPoint]:
-    """Piecewise curve that follows the pre-switch technology before
-    ``switch_index`` and the post-switch technology from there on.
+) -> np.ndarray:
+    """EBIS along ``z_grid`` as a float ndarray: the pre-switch technology on
+    ``z_grid[:switch_index]`` and the post-switch technology on the rest.
 
     The post technology must carry the disruption dummy and the pre
     technology must not, unless the two periods are identical (which
@@ -201,13 +178,11 @@ def ebis_mix_curve(
             raise ContractError("post-switch technology must have disruptive=1")
     if switch_index < 0:
         raise DomainError(f"switch_index must be >= 0, got {switch_index}")
-    points = []
-    for i, z in enumerate(z_grid):
-        branch = "pre" if i < switch_index else "post"
-        period = period_pre if branch == "pre" else period_post
-        cp = curve_point(float(z), period)
-        points.append(MixPoint(index=i, branch=branch, **vars(cp)))
-    return points
+    grid = np.asarray(z_grid, dtype=float)
+    return np.concatenate((
+        ebis_eval(grid[:switch_index], period_pre),
+        ebis_eval(grid[switch_index:], period_post),
+    ))
 
 
 def mix_jump(period_pre: PeriodSpec, period_post: PeriodSpec, z: float) -> float:

@@ -47,11 +47,6 @@ class OptimizationResult:
     per_period: tuple[PeriodOptimum, ...]
 
 
-def period_enbis(z, period: PeriodSpec):
-    """Net benefit of one period as a function of z (scalar or ndarray)."""
-    return ebis_eval(z, period) - np.asarray(z, dtype=float)
-
-
 def closed_form_optimum(period: PeriodSpec) -> float:
     """Unique maximizer of [v - S(z, v)]*L - z over z >= 0.
 
@@ -90,22 +85,22 @@ def golden_section_optimum(period: PeriodSpec, z_max: float, tol: float) -> floa
     a, b = 0.0, float(z_max)
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
-    fc = period_enbis(c, period)
-    fd = period_enbis(d, period)
+    fc = ebis_eval(c, period) - c
+    fd = ebis_eval(d, period) - d
     for _ in range(_GOLDEN_MAX_STEPS):
         if b - a <= tol:
             break
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)
-            fc = period_enbis(c, period)
+            fc = ebis_eval(c, period) - c
         else:
             a, c, fc = c, d, fd
             d = a + _INV_PHI * (b - a)
-            fd = period_enbis(d, period)
+            fd = ebis_eval(d, period) - d
     mid = 0.5 * (a + b)
     # the corner z=0 can beat the interior midpoint when the optimum is flat
-    return 0.0 if period_enbis(0.0, period) >= period_enbis(mid, period) else mid
+    return 0.0 if ebis_eval(0.0, period) >= ebis_eval(mid, period) - mid else mid
 
 
 def grid_oracle(period: PeriodSpec, z_max: float, steps: int) -> float:
@@ -118,7 +113,7 @@ def grid_oracle(period: PeriodSpec, z_max: float, steps: int) -> float:
     if steps < 1:
         raise DomainError(f"steps must be >= 1, got {steps}")
     z = np.linspace(0.0, float(z_max), int(steps) + 1)
-    values = period_enbis(z, period)
+    values = ebis_eval(z, period) - z
     return float(z[int(np.argmax(values))])
 
 

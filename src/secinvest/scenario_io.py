@@ -17,16 +17,17 @@ import numpy as np
 
 from .errors import DomainError, ParseError
 from .model import (
-    MixPoint,
     PeriodSpec,
     Scenario,
     TechnologyProfile,
-    curve_point,
+    ebis_eval,
     ebis_mix_curve,
 )
 from .optimize import closed_form_optimum
 
 _PERIOD_FIELDS = ("vulnerability", "loss", "alpha", "beta", "disruptive")
+# largest curve grid; 10**6 steps already print tens of MB of CSV
+_MAX_STEPS = 10**6
 
 
 def fmt(x: float) -> str:
@@ -97,9 +98,9 @@ def scenario_to_json(scenario: Scenario) -> str:
 
 
 def _z_grid(z_min: float, z_max: float, steps: int) -> np.ndarray:
-    if not (0 <= z_min < z_max < math.inf) or steps < 2:
+    if not (0 <= z_min < z_max < math.inf) or not (2 <= steps <= _MAX_STEPS):
         raise DomainError(
-            f"need finite 0 <= z_min < z_max and steps >= 2, got "
+            f"need finite 0 <= z_min < z_max and 2 <= steps <= {_MAX_STEPS}, got "
             f"z_min={z_min}, z_max={z_max}, steps={steps}"
         )
     return np.linspace(float(z_min), float(z_max), int(steps) + 1)
@@ -113,27 +114,22 @@ def emit_curve_csv(
     include_disrupted: bool = False,
 ) -> str:
     """Benefit curves on a uniform z grid, optionally with the disrupted
-    (dummy raised to 1) counterpart alongside; footer rows carry each
-    curve's optimal investment."""
+    (dummy raised to 1) counterpart alongside; each curve is one array
+    evaluation, and footer rows carry each curve's optimal investment."""
     grid = _z_grid(z_min, z_max, steps)
-    disrupted = None
-    if include_disrupted:
-        disrupted = replace(period, technology=replace(period.technology, disruptive=1))
-
+    periods = [period]
     header = "z,ebis_0,enbis_0"
     if include_disrupted:
+        periods.append(replace(period, technology=replace(period.technology, disruptive=1)))
         header += ",ebis_d,enbis_d"
-    lines = [header]
-    for z in grid:
-        cp = curve_point(float(z), period)
-        row = f"{fmt(cp.z)},{fmt(cp.ebis)},{fmt(cp.enbis)}"
-        if disrupted is not None:
-            cd = curve_point(float(z), disrupted)
-            row += f",{fmt(cd.ebis)},{fmt(cd.enbis)}"
-        lines.append(row)
-    lines.append(f"# z_star_0={fmt(closed_form_optimum(period))}")
-    if disrupted is not None:
-        lines.append(f"# z_star_d={fmt(closed_form_optimum(disrupted))}")
+    columns = [grid]
+    for p in periods:
+        ebis = ebis_eval(grid, p)
+        columns += [ebis, ebis - grid]
+    rows = zip(*(c.tolist() for c in columns))
+    lines = [header, *(",".join(map(fmt, row)) for row in rows)]
+    for p, name in zip(periods, ("0", "d")):
+        lines.append(f"# z_star_{name}={fmt(closed_form_optimum(p))}")
     return "\n".join(lines) + "\n"
 
 
@@ -143,11 +139,14 @@ def emit_mix_csv(
     switch_index: int,
     z_grid: Sequence[float],
 ) -> str:
-    """Piecewise pre/post curve rows; the branch switches at switch_index."""
-    points = ebis_mix_curve(period_pre, period_post, switch_index, z_grid)
+    """Piecewise pre/post curve rows from the array of ``ebis_mix_curve``;
+    row i is labelled ``pre`` when i < switch_index, else ``post``."""
+    ebis = ebis_mix_curve(period_pre, period_post, switch_index, z_grid)
+    grid = np.asarray(z_grid, dtype=float)
     lines = ["index,branch,z,ebis"]
-    for p in points:
-        lines.append(f"{p.index},{p.branch},{fmt(p.z)},{fmt(p.ebis)}")
+    for i, (z, e) in enumerate(zip(grid.tolist(), ebis.tolist())):
+        branch = "pre" if i < switch_index else "post"
+        lines.append(f"{i},{branch},{fmt(z)},{fmt(e)}")
     return "\n".join(lines) + "\n"
 
 

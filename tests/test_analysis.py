@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 from secinvest import (
     ContractError,
     DomainError,
-    DeltaZReport,
     InvestmentPlan,
     PeriodSpec,
     Scenario,
@@ -14,6 +14,7 @@ from secinvest import (
     classify_disruptive,
     delta_z,
     dominance_check,
+    ebis_eval,
     optimize_scenario,
     productivity_ratio,
     optimum_shift_sweep,
@@ -61,43 +62,34 @@ class TestDeltaZ:
 
 
 class TestClassifyDisruptive:
-    def report(self, enbis_a, enbis_b):
-        return DeltaZReport(
-            delta_z=enbis_a - enbis_b,
-            enbis_a=enbis_a,
-            enbis_b=enbis_b,
-            period_count=1,
-            classified_disruptive=False,
-            threshold_used=0.10,
-        )
-
     def test_equal_benefits_not_disruptive(self):
-        assert classify_disruptive(self.report(24.0, 24.0), 0.10) is False
+        assert classify_disruptive(24.0, 24.0, 0.10) is False
 
     def test_clearly_above_threshold(self):
-        assert classify_disruptive(self.report(24.0, 36.5), 0.10) is True
+        assert classify_disruptive(24.0, 36.5, 0.10) is True
 
     def test_below_threshold(self):
-        assert classify_disruptive(self.report(24.0, 25.0), 0.10) is False
+        assert classify_disruptive(24.0, 25.0, 0.10) is False
 
     def test_nonpositive_baseline_uses_absolute_margin(self):
-        assert classify_disruptive(self.report(0.0, 0.05), 0.10) is False
-        assert classify_disruptive(self.report(0.0, 0.2), 0.10) is True
+        assert classify_disruptive(0.0, 0.05, 0.10) is False
+        assert classify_disruptive(0.0, 0.2, 0.10) is True
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(DomainError, match="threshold"):
-            classify_disruptive(self.report(1.0, 2.0), -0.1)
+            classify_disruptive(1.0, 2.0, -0.1)
 
     def test_monotone_in_enbis_b(self):
         values = np.linspace(20.0, 40.0, 21)
-        flags = [classify_disruptive(self.report(24.0, b), 0.10) for b in values]
+        flags = [classify_disruptive(24.0, b, 0.10) for b in values]
         assert flags == sorted(flags)
 
-    def test_updates_report_fields(self):
-        report = self.report(24.0, 36.5)
-        classify_disruptive(report, 0.25)
-        assert report.threshold_used == 0.25
-        assert report.classified_disruptive is True
+    def test_report_is_frozen(self):
+        a = scenario("a")
+        plan = InvestmentPlan((1.0,))
+        report = delta_z(a, plan, a, plan)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.classified_disruptive = True
 
 
 class TestProductivityRatio:
@@ -160,6 +152,20 @@ class TestDominanceCheck:
                 period(v, loss, alpha, beta, 0), period(v, loss, alpha, beta, 1), grid
             )
 
+    def test_holds_where_both_benefits_round_to_v_times_loss(self):
+        # far above z*, both EBIS values round to v*L = 1e6, while the
+        # breach probabilities (about 1e-18 and 1e-24) keep their order
+        base, disr = period(1.0, 1e6, 1.0, 3.0, 0), period(1.0, 1e6, 1.0, 3.0, 1)
+        assert ebis_eval(1e6, base) == ebis_eval(1e6, disr)
+        assert dominance_check(base, disr, [0.0, 1e6])
+
+    # at z = 1e-20 the curves are equal (alpha*z + 1 rounds to 1), so a
+    # point-by-point check could stop there before reaching the negative z
+    @pytest.mark.parametrize("grid", [[0.0, 1e-20, -1.0], [-1.0, 0.0]])
+    def test_negative_z_anywhere_raises(self, grid):
+        with pytest.raises(DomainError, match="z must be >= 0"):
+            dominance_check(period(), period(d=1), grid)
+
 
 class TestOptimumShiftSweep:
     def test_left_and_right_both_occur(self):
@@ -188,9 +194,8 @@ class TestOptimumShiftSweep:
 class TestThresholdDomain:
     @pytest.mark.parametrize("threshold", [-0.1, math.nan, math.inf])
     def test_classify_rejects(self, threshold):
-        report = TestClassifyDisruptive().report(1.0, 2.0)
         with pytest.raises(DomainError, match="threshold"):
-            classify_disruptive(report, threshold)
+            classify_disruptive(1.0, 2.0, threshold)
 
     def test_delta_z_rejects_nan_threshold(self):
         a = scenario("a")

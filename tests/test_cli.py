@@ -253,11 +253,37 @@ def test_module_entry_point_writes_nothing_to_stderr():
     assert result.stdout.startswith("alpha,beta,")
 
 
+def test_every_public_name_resolves():
+    for name in secinvest.__all__:
+        assert getattr(secinvest, name) is not None, name
+
+
+@pytest.mark.parametrize("steps", [str(10**6 + 1), "9" * 400])
+@pytest.mark.parametrize("command", ["curve", "mix-curve"])
+def test_steps_beyond_the_limit_exit_1(command, steps, capsys):
+    argv = [command, *PERIOD_ARGS, "--z-max", "2", "--steps", steps]
+    if command == "mix-curve":
+        argv += ["--switch-index", "1"]
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "steps" in captured.err
+    assert captured.out == ""
+
+
+def test_extreme_valid_inputs_write_nothing_to_stderr():
+    result = _run_python(
+        "-m", "secinvest.cli", "curve", "--vulnerability", "0.5", "--loss", "100",
+        "--alpha", "1e300", "--beta", "5", "--z-max", "1e10", "--steps", "2",
+    )
+    assert result.returncode == 0
+    assert result.stderr == ""
+
+
 def test_package_import_does_not_load_the_cli():
     code = (
         "import sys, secinvest; assert 'secinvest.cli' not in sys.modules; "
         "from secinvest import run_cli; assert 'secinvest.cli' in sys.modules; "
-        "assert len(secinvest.__all__) == 39"
+        "assert len(secinvest.__all__) == 35"
     )
     result = _run_python("-c", code)
     assert result.returncode == 0, result.stderr

@@ -11,6 +11,7 @@ from secinvest import (
     render_curve_svg,
     scenario_to_json,
 )
+from secinvest.scenario_io import _z_grid
 
 MINIMAL = """
 {
@@ -99,6 +100,11 @@ class TestCurveCsv:
             emit_curve_csv(period(), 2.0, 1.0, 10)
         with pytest.raises(DomainError, match="steps"):
             emit_curve_csv(period(), 0.0, 1.0, 1)
+
+    def test_steps_limit_is_one_million(self):
+        assert len(_z_grid(0.0, 1.0, 10**6)) == 10**6 + 1
+        with pytest.raises(DomainError, match="steps <= 1000000"):
+            _z_grid(0.0, 1.0, 10**6 + 1)
 
 
 class TestMixCsv:

@@ -178,16 +178,20 @@ class TestEnbis:
 
 class TestMixCurve:
     def test_switch_splits_branches(self):
-        points = ebis_mix_curve(period(), period(tech=T1), 2, [0.0, 0.5, 1.0, 1.5])
-        assert [p.branch for p in points] == ["pre", "pre", "post", "post"]
+        grid = np.array([0.0, 0.5, 1.0, 1.5])
+        ebis = ebis_mix_curve(period(), period(tech=T1), 2, grid)
+        assert isinstance(ebis, np.ndarray) and ebis.dtype == float
+        assert ebis.tolist() == [
+            *ebis_eval(grid[:2], period()), *ebis_eval(grid[2:], period(tech=T1))
+        ]
 
     def test_switch_at_zero_is_all_post(self):
-        points = ebis_mix_curve(period(), period(tech=T1), 0, [0.0, 1.0])
-        assert {p.branch for p in points} == {"post"}
+        ebis = ebis_mix_curve(period(), period(tech=T1), 0, [0.0, 1.0])
+        assert ebis.tolist() == ebis_eval(np.array([0.0, 1.0]), period(tech=T1)).tolist()
 
     def test_switch_beyond_end_is_all_pre(self):
-        points = ebis_mix_curve(period(), period(tech=T1), 99, [0.0, 1.0])
-        assert {p.branch for p in points} == {"pre"}
+        ebis = ebis_mix_curve(period(), period(tech=T1), 99, [0.0, 1.0])
+        assert ebis.tolist() == ebis_eval(np.array([0.0, 1.0]), period()).tolist()
 
     def test_jump_hand_value(self):
         assert mix_jump(period(), period(tech=T1), 1.0) == pytest.approx(
@@ -205,9 +209,9 @@ class TestMixCurve:
         assert mix_jump(period(), period(tech=T1), 0.0) == 0.0
 
     def test_identical_periods_give_zero_jump(self):
-        points = ebis_mix_curve(period(), period(), 1, [0.0, 1.0, 2.0])
-        straight = [ebis_eval(p.z, period()) for p in points]
-        assert [p.ebis for p in points] == straight
+        ebis = ebis_mix_curve(period(), period(), 1, [0.0, 1.0, 2.0])
+        straight = [ebis_eval(z, period()) for z in [0.0, 1.0, 2.0]]
+        assert ebis.tolist() == straight
 
     def test_wrong_flags_rejected(self):
         with pytest.raises(ContractError, match="disruptive"):

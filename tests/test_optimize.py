@@ -9,12 +9,12 @@ from secinvest import (
     Scenario,
     TechnologyProfile,
     closed_form_optimum,
+    ebis_eval,
     enbis_eval,
     golden_section_optimum,
     grid_oracle,
     optimize_period,
     optimize_scenario,
-    period_enbis,
 )
 
 
@@ -68,13 +68,13 @@ class TestClosedForm:
             p = random_period(rng)
             z_star = closed_form_optimum(p)
             eps = 1e-6 * max(1.0, z_star)
-            best = period_enbis(z_star, p)
+            best = ebis_eval(z_star, p) - z_star
             # 1e-12 absolute is below float64 resolution for large objectives;
             # allow a few ulps of the objective on top
             tol = 1e-12 + 8 * np.spacing(abs(best))
-            assert period_enbis(z_star + eps, p) <= best + tol
+            assert ebis_eval(z_star + eps, p) - (z_star + eps) <= best + tol
             if z_star - eps >= 0:
-                assert period_enbis(z_star - eps, p) <= best + tol
+                assert ebis_eval(z_star - eps, p) - (z_star - eps) <= best + tol
 
     def test_bounded_by_expected_loss(self):
         rng = np.random.default_rng(9)
@@ -111,7 +111,7 @@ class TestGridOracle:
         p = period()
         z = grid_oracle(p, z_max=4.0, steps=2)
         candidates = [0.0, 2.0, 4.0]
-        best = max(candidates, key=lambda c: period_enbis(c, p))
+        best = max(candidates, key=lambda c: ebis_eval(c, p) - c)
         assert z == best
 
 

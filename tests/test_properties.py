@@ -1,9 +1,10 @@
 """Property tests over the whole input domain.
 
 Valid finite inputs give finite results, the closed form matches a 50-digit
-reference, the Gordon-Loeb bound z* <= v*L/e holds, and every invalid input
-(nan, +-inf, bools, 400-digit ints, out-of-range values) fails with a
-ModelError subclass, in the library and through the CLI.
+reference, the Gordon-Loeb bound z* <= v*L/e holds, every row of the
+whole-grid curve CSVs equals the one formatted from scalar evaluations, and
+every invalid input (nan, +-inf, bools, 400-digit ints, out-of-range values)
+fails with a ModelError subclass, in the library and through the CLI.
 """
 
 import contextlib
@@ -12,8 +13,9 @@ import json
 import math
 
 import mpmath
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from secinvest import (
@@ -23,11 +25,15 @@ from secinvest import (
     PeriodSpec,
     TechnologyProfile,
     closed_form_optimum,
+    ebis_eval,
+    emit_curve_csv,
+    emit_mix_csv,
     golden_section_optimum,
     optimize_period,
     parse_scenario,
     run_cli,
 )
+from secinvest.scenario_io import fmt
 
 PROPERTY = settings(deadline=None, max_examples=150)
 CLI_PROPERTY = settings(deadline=None, max_examples=60)
@@ -136,6 +142,53 @@ def test_closed_form_accurate_near_the_corner(tech, gap):
 @given(periods, st.floats(0.0, 1e300), st.floats(1e-300, 1e300))
 def test_golden_section_terminates_inside_its_bracket(p, z_max, tol):
     assert 0.0 <= golden_section_optimum(p, z_max, tol) <= z_max
+
+
+def scalar_row(z, *curves):
+    """A curve CSV row from scalar evaluations: z, then EBIS and ENBIS per curve."""
+    values = [z]
+    for p in curves:
+        ebis = ebis_eval(z, p)
+        values += [ebis, ebis - z]
+    return ",".join(fmt(x) for x in values)
+
+
+@PROPERTY
+@given(
+    periods,
+    st.floats(0.0, 1e6),
+    st.floats(1e-6, 1e12),
+    st.integers(2, 40),
+    st.booleans(),
+)
+def test_curve_rows_match_scalar_evaluation(p, z_min, width, steps, include_disrupted):
+    z_max = z_min + width
+    assume(z_min < z_max)
+    curves = [p]
+    if include_disrupted:
+        curves.append(make_period(p.vulnerability, p.loss, p.technology.alpha,
+                                  p.technology.beta, 1))
+    rows = emit_curve_csv(p, z_min, z_max, steps, include_disrupted).splitlines()
+    grid = np.linspace(z_min, z_max, steps + 1).tolist()
+    assert rows[1:len(grid) + 1] == [scalar_row(z, *curves) for z in grid]
+
+
+@PROPERTY
+@given(
+    vulnerabilities, losses, alphas, betas, alphas, betas,
+    st.lists(st.floats(0.0, 1e12), max_size=30),
+    st.integers(0, 40),
+)
+def test_mix_rows_match_scalar_evaluation(v, loss, alpha, beta, alpha_post, beta_post,
+                                          grid, switch_index):
+    pre = make_period(v, loss, alpha, beta, 0)
+    post = make_period(v, loss, alpha_post, beta_post, 1)
+    rows = emit_mix_csv(pre, post, switch_index, grid).splitlines()
+    expected = []
+    for i, z in enumerate(grid):
+        branch, p = ("pre", pre) if i < switch_index else ("post", post)
+        expected.append(f"{i},{branch},{fmt(z)},{fmt(ebis_eval(z, p))}")
+    assert rows[1:] == expected
 
 
 @PROPERTY
