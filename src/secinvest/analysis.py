@@ -9,16 +9,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ContractError, DomainError
+from .errors import ContractError, DomainError, NumericError
 from .model import (
     InvestmentPlan,
+    PeriodBatch,
     PeriodSpec,
     Scenario,
     TechnologyProfile,
     enbis_eval,
     sbpf_eval,
 )
-from .optimize import closed_form_optimum
+from .optimize import z_star
 
 DEFAULT_DISRUPTION_THRESHOLD = 0.10
 SHIFT_TOLERANCE = 1e-9
@@ -66,9 +67,15 @@ def delta_z(
         )
     enbis_a = enbis_eval(plan_a, scenario_a)
     enbis_b = enbis_eval(plan_b, scenario_b)
+    difference = enbis_a - enbis_b
+    if not math.isfinite(difference):
+        raise NumericError(
+            f"net-benefit difference of {scenario_a.label!r} and "
+            f"{scenario_b.label!r} overflows a float"
+        )
     disruptive = classify_disruptive(enbis_a, enbis_b, threshold)
     return DeltaZReport(
-        delta_z=enbis_a - enbis_b,
+        delta_z=difference,
         enbis_a=enbis_a,
         enbis_b=enbis_b,
         period_count=scenario_a.horizon,
@@ -107,6 +114,9 @@ def dominance_check(
     the array ``z_grid``, strictly above it at every z > 0 (when both v and L
     are positive). EBIS is (v - S)*L, so for L > 0 this compares the breach
     probabilities S, which keep their order where both EBIS round to v*L.
+    The strict part is read from the exact ratio S_d/S_0 = 1/(alpha*z + 1),
+    which floats keep below 1 where alpha*z + 1 rounds to 1 or both S
+    underflow to 0.
     """
     base_t = period_baseline.technology
     twin = replace(period_baseline, technology=replace(base_t, disruptive=1))
@@ -121,7 +131,8 @@ def dominance_check(
     if not np.all(s_disr <= s_base):
         return False
     if v > 0 and period_baseline.loss > 0:
-        return bool(np.all(s_disr[z > 0] < s_base[z > 0]))
+        with np.errstate(over="ignore"):  # alpha*z = inf still gives a log > 0
+            return bool(np.all(np.log1p(base_t.alpha * z[z > 0]) > 0))
     return True
 
 
@@ -135,33 +146,43 @@ def optimum_shift_sweep(
 
     Quantifies where the left-shift claim for the argmax actually holds;
     the direction is parameter-dependent. Records come back sorted by the
-    parameter tuple so concurrent evaluation stays deterministic.
+    parameter tuple (``itertools.product`` of the sorted lists) so the
+    output stays deterministic.
     """
-    records = []
-    for alpha, beta, v, loss in itertools.product(
-        sorted(alphas), sorted(betas), sorted(vulnerabilities), sorted(losses)
-    ):
-        z0 = closed_form_optimum(
-            PeriodSpec(v, loss, TechnologyProfile(alpha, beta, 0))
-        )
-        zd = closed_form_optimum(
-            PeriodSpec(v, loss, TechnologyProfile(alpha, beta, 1))
-        )
-        if zd < z0 - SHIFT_TOLERANCE:
-            direction = "left"
-        elif zd > z0 + SHIFT_TOLERANCE:
-            direction = "right"
-        else:
-            direction = "none"
-        records.append(
-            SweepRecord(
-                alpha=alpha,
-                beta=beta,
-                vulnerability=v,
-                loss=loss,
-                z_star_baseline=z0,
-                z_star_disrupted=zd,
-                shift_direction=direction,
-            )
-        )
-    return records
+    axes = [sorted(values) for values in (alphas, betas, vulnerabilities, losses)]
+    if not all(axes):
+        return []
+    _validate_axes(*axes)
+    # meshgrid's "ij" order is the order of itertools.product; a record is
+    # the product's tuple of the caller's own values plus the tuple's optima
+    rows = map(tuple.__add__, itertools.product(*axes), zip(*_shifts(axes)))
+    return list(itertools.starmap(SweepRecord, rows))
+
+
+def _shifts(axes) -> tuple[list[float], list[float], np.ndarray]:
+    """z* without and with the dummy over the grid of the four axes, and
+    the shift direction, per tuple in "ij" order. The grid arrays are freed
+    on return, before the records are built."""
+    grid = np.meshgrid(*(np.array(axis, dtype=float) for axis in axes), indexing="ij")
+    alpha, beta, v, loss = (x.ravel() for x in grid)
+    z0 = z_star(PeriodBatch(alpha, beta, v, loss))
+    zd = z_star(PeriodBatch(alpha, beta + 1.0, v, loss))
+    # an object array holds the same three strings, not one copy per tuple
+    direction = np.full(z0.size, "none", dtype=object)
+    direction[zd > z0 + SHIFT_TOLERANCE] = "right"
+    direction[zd < z0 - SHIFT_TOLERANCE] = "left"
+    return z0.tolist(), zd.tolist(), direction
+
+
+def _validate_axes(alphas, betas, vulnerabilities, losses) -> None:
+    """Check every axis value through the domain types, raising the error of
+    the first invalid tuple in record order."""
+    tech = TechnologyProfile(alphas[0], betas[0], 0)
+    for loss in losses:
+        PeriodSpec(vulnerabilities[0], loss, tech)
+    for v in vulnerabilities:
+        PeriodSpec(v, losses[0], tech)
+    for beta in betas:
+        TechnologyProfile(alphas[0], beta, 0)
+    for alpha in alphas:
+        TechnologyProfile(alpha, betas[0], 0)

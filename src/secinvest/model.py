@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -116,21 +116,95 @@ class InvestmentPlan:
         return len(self.amounts)
 
 
+class PeriodBatch(NamedTuple):
+    """The periods of a scenario as a struct of arrays, one entry per period.
+
+    ``k`` is the exponent beta + d. The fields share one shape; the
+    one-period views (``PeriodBatch.one``) hold plain floats instead, which
+    broadcast the same way.
+    """
+
+    alpha: ArrayLike
+    k: ArrayLike
+    v: ArrayLike
+    loss: ArrayLike
+
+    @classmethod
+    def of(cls, periods: Sequence[PeriodSpec]) -> "PeriodBatch":
+        """Float arrays from already validated periods."""
+        techs = [p.technology for p in periods]
+        return cls(
+            np.array([t.alpha for t in techs], dtype=float),
+            np.array([t.exponent for t in techs], dtype=float),
+            np.array([p.vulnerability for p in periods], dtype=float),
+            np.array([p.loss for p in periods], dtype=float),
+        )
+
+    @classmethod
+    def one(cls, period: PeriodSpec) -> "PeriodBatch":
+        tech = period.technology
+        return cls(tech.alpha, tech.exponent, period.vulnerability, period.loss)
+
+
 # alpha*z + 1 or its power may overflow to inf, which correctly gives S = 0
 @np.errstate(over="ignore")
+def breach(z: ArrayLike, batch: PeriodBatch) -> np.ndarray:
+    """The breach law S = v / (alpha*z + 1)**k with ``z`` broadcast against
+    the periods, in one fresh buffer (a 0-d array for scalar inputs)."""
+    s = np.asarray(batch.alpha * z)
+    s += 1.0
+    if isinstance(batch.k, np.ndarray):
+        # numpy squares where a scalar exponent is 2, and its pow can differ
+        # from that in the last bit; square the same periods here
+        square = batch.k == 2.0
+        np.power(s, batch.k, out=s, where=~square)
+        np.square(s, out=s, where=square)
+    else:
+        np.power(s, batch.k, out=s)
+    return np.divide(batch.v, s, out=s)
+
+
+def ebis(z: ArrayLike, batch: PeriodBatch) -> np.ndarray:
+    """Expected benefit [v - S(z, v)] * L, computed in the buffer of ``breach``."""
+    out = breach(z, batch)
+    np.subtract(batch.v, out, out=out)
+    out *= batch.loss
+    return out
+
+
+def net_total(terms: np.ndarray, label: str) -> float:
+    """Left-to-right float sum of the per-period net benefits, as a running
+    total from 0.0 would give it; raises NumericError past the float range."""
+    with np.errstate(over="ignore"):
+        total = float(np.add.accumulate(terms)[-1]) + 0.0
+    if not math.isfinite(total):
+        raise NumericError(f"net benefit of {label!r} overflows a float")
+    return total
+
+
+def _scalar_or_array(z: ArrayLike, out: np.ndarray) -> ArrayLike:
+    return float(out) if np.isscalar(z) or out.ndim == 0 else out
+
+
+def _nonnegative(z: ArrayLike) -> np.ndarray:
+    z_arr = np.asarray(z, dtype=float)
+    if not (z_arr >= 0).all():
+        raise DomainError(f"z must be >= 0, got {z}")
+    return z_arr
+
+
 def sbpf_eval(z: ArrayLike, v: float, tech: TechnologyProfile) -> ArrayLike:
     """Breach probability v / (alpha*z + 1)**(beta + d); lies in [0, v].
 
     Takes a scalar or an ndarray ``z`` and returns the same shape, evaluated
-    elementwise.
+    elementwise by ``breach``.
     """
-    z_arr = np.asarray(z, dtype=float)
-    if not (z_arr >= 0).all():
-        raise DomainError(f"z must be >= 0, got {z}")
+    z_arr = _nonnegative(z)
     if not (0.0 <= v <= 1.0):
         raise DomainError(f"v must lie in [0, 1], got {v}")
-    out = v / np.power(tech.alpha * z_arr + 1.0, tech.exponent)
-    return float(out) if np.isscalar(z) or z_arr.ndim == 0 else out
+    # the loss plays no part in S
+    out = breach(z_arr, PeriodBatch(tech.alpha, tech.exponent, v, 0.0))
+    return _scalar_or_array(z, out)
 
 
 def ebis_eval(z: ArrayLike, period: PeriodSpec) -> ArrayLike:
@@ -138,9 +212,7 @@ def ebis_eval(z: ArrayLike, period: PeriodSpec) -> ArrayLike:
 
     Takes a scalar or an ndarray ``z`` and returns the same shape.
     """
-    s = sbpf_eval(z, period.vulnerability, period.technology)
-    out = (period.vulnerability - np.asarray(s)) * period.loss
-    return float(out) if np.isscalar(z) or np.asarray(z).ndim == 0 else out
+    return _scalar_or_array(z, ebis(_nonnegative(z), PeriodBatch.one(period)))
 
 
 def enbis_eval(plan: InvestmentPlan, scenario: Scenario) -> float:
@@ -150,12 +222,10 @@ def enbis_eval(plan: InvestmentPlan, scenario: Scenario) -> float:
             f"plan has {len(plan)} amounts but scenario "
             f"{scenario.label!r} has {scenario.horizon} periods"
         )
-    total = 0.0
-    for z, period in zip(plan.amounts, scenario.periods):
-        total += ebis_eval(z, period) - z
-    if not math.isfinite(total):
-        raise NumericError(f"net benefit of {scenario.label!r} overflows a float")
-    return total
+    z = np.array(plan.amounts, dtype=float)
+    terms = ebis(z, PeriodBatch.of(scenario.periods))
+    terms -= z
+    return net_total(terms, scenario.label)
 
 
 def ebis_mix_curve(

@@ -8,6 +8,7 @@ from secinvest import (
     ContractError,
     DomainError,
     InvestmentPlan,
+    NumericError,
     PeriodSpec,
     Scenario,
     TechnologyProfile,
@@ -18,6 +19,7 @@ from secinvest import (
     optimize_scenario,
     productivity_ratio,
     optimum_shift_sweep,
+    sbpf_eval,
 )
 
 
@@ -53,6 +55,13 @@ class TestDeltaZ:
         assert report.enbis_a == pytest.approx(24.0, abs=1e-12)
         assert report.enbis_b == pytest.approx(36.5, abs=1e-12)
         assert report.delta_z == pytest.approx(-12.5, abs=1e-12)
+
+    def test_overflowing_difference_raises(self):
+        # both totals are finite, about +1.7e308 and -1.7e308
+        a = scenario("a", period(1.0, 1.7e308))
+        b = scenario("b", period(0.0, 0.0))
+        with pytest.raises(NumericError, match="difference of 'a' and 'b' overflows"):
+            delta_z(a, InvestmentPlan((1e10,)), b, InvestmentPlan((1.7e308,)))
 
     def test_unequal_horizons_rejected(self):
         a = scenario("a", period())
@@ -158,6 +167,16 @@ class TestDominanceCheck:
         base, disr = period(1.0, 1e6, 1.0, 3.0, 0), period(1.0, 1e6, 1.0, 3.0, 1)
         assert ebis_eval(1e6, base) == ebis_eval(1e6, disr)
         assert dominance_check(base, disr, [0.0, 1e6])
+
+    def test_holds_where_alpha_z_plus_one_rounds_to_one(self):
+        # at z = 1e-20 both breach probabilities equal v in floats
+        assert sbpf_eval(1e-20, 0.5, period().technology) == 0.5
+        assert dominance_check(period(), period(d=1), [0.0, 1e-20])
+
+    def test_holds_where_both_breach_probabilities_underflow(self):
+        base, disr = period(beta=5.0), period(beta=5.0, d=1)
+        assert sbpf_eval(1e300, 0.5, base.technology) == 0.0
+        assert dominance_check(base, disr, [0.0, 1e300])
 
     # at z = 1e-20 the curves are equal (alpha*z + 1 rounds to 1), so a
     # point-by-point check could stop there before reaching the negative z

@@ -199,6 +199,10 @@ PERIOD_ARGS = ["--vulnerability", "0.5", "--loss", "100", "--alpha", "1", "--bet
         ["mix-curve", *PERIOD_ARGS, "--switch-index", "-5", "--z-max", "2"],
         ["sweep", "--alpha", "inf"],
         ["sweep", "--loss", "4,nan"],
+        ["sweep", "--alpha", "1,inf"],
+        ["sweep", "--beta", "1,0.5"],
+        ["sweep", "--vulnerability", "0.5,2"],
+        ["sweep", "--loss", "4,-1"],
     ],
 )
 def test_non_finite_or_out_of_range_flags_exit_1(argv, capsys):

@@ -15,7 +15,9 @@ from secinvest import (
     grid_oracle,
     optimize_period,
     optimize_scenario,
+    sbpf_eval,
 )
+from secinvest.model import PeriodBatch, ebis
 
 
 def period(v=0.5, loss=20.0, alpha=1.0, beta=1.0, d=0):
@@ -115,6 +117,20 @@ class TestGridOracle:
         assert z == best
 
 
+    def test_values_equal_the_unfused_expression(self):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            p = random_period(rng)
+            z_max = p.vulnerability * p.loss + 1.0
+            z = np.linspace(0.0, z_max, 10**4 + 1)
+            v, alpha, k = p.vulnerability, p.technology.alpha, p.technology.exponent
+            unfused = (v - v / np.power(alpha * z + 1.0, k)) * p.loss - z
+            fused = ebis(z, PeriodBatch.one(p))
+            fused -= z
+            assert fused.tobytes() == unfused.tobytes()
+            assert grid_oracle(p, z_max, 10**4) == z[np.argmax(unfused)]
+
+
 class TestOptimizeScenario:
     def test_single_period_matches_optimize_period(self):
         p = period()
@@ -141,6 +157,21 @@ class TestOptimizeScenario:
         rec = optimize_period(period(loss=0.0))
         assert rec.z_star == 0.0
         assert rec.ebis_at_optimum == 0.0
+
+    @pytest.mark.parametrize("beta, d", [(1.0, 1), (2.0, 0), (2.5, 1)])
+    def test_records_equal_scalar_evaluation(self, beta, d):
+        rng = np.random.default_rng(41)
+        ps = [period(rng.uniform(0.1, 1.0), rng.uniform(1.0, 1e6),
+                     rng.uniform(0.01, 10.0), beta, d) for _ in range(200)]
+        for r, p in zip(optimize_scenario(Scenario("s", tuple(ps))).per_period, ps):
+            # the closed form on Python floats, without overflow
+            alpha, k = p.technology.alpha, p.technology.exponent
+            interior = alpha * k * p.vulnerability * p.loss
+            z = math.expm1(math.log(interior) / (k + 1.0)) / alpha if interior > 1.0 else 0.0
+            assert r.z_star == closed_form_optimum(p) == z
+            assert r.breach_probability_at_optimum == sbpf_eval(
+                r.z_star, p.vulnerability, p.technology)
+            assert r.ebis_at_optimum == ebis_eval(r.z_star, p)
 
     def test_total_consistent_with_enbis_eval(self):
         rng = np.random.default_rng(21)

@@ -1,14 +1,17 @@
 """Property tests over the whole input domain.
 
 Valid finite inputs give finite results, the closed form matches a 50-digit
-reference, the Gordon-Loeb bound z* <= v*L/e holds, every row of the
-whole-grid curve CSVs equals the one formatted from scalar evaluations, and
-every invalid input (nan, +-inf, bools, 400-digit ints, out-of-range values)
-fails with a ModelError subclass, in the library and through the CLI.
+reference, the Gordon-Loeb bound z* <= v*L/e holds, the scenario optimum,
+scenario total and sweep equal their per-period scalar forms (at and near the
+corner and where alpha*k*v*L overflows), every row of the whole-grid curve
+CSVs equals the one formatted from scalar evaluations, and every invalid
+input (nan, +-inf, bools, 400-digit ints, out-of-range values) fails with a
+ModelError subclass, in the library and through the CLI.
 """
 
 import contextlib
 import io
+import itertools
 import json
 import math
 
@@ -21,18 +24,26 @@ from hypothesis import strategies as st
 from secinvest import (
     InvestmentPlan,
     ModelError,
+    NumericError,
     ParseError,
     PeriodSpec,
+    Scenario,
+    SweepRecord,
     TechnologyProfile,
     closed_form_optimum,
     ebis_eval,
     emit_curve_csv,
     emit_mix_csv,
+    enbis_eval,
     golden_section_optimum,
     optimize_period,
+    optimize_scenario,
+    optimum_shift_sweep,
     parse_scenario,
     run_cli,
+    sbpf_eval,
 )
+from secinvest.analysis import SHIFT_TOLERANCE
 from secinvest.scenario_io import fmt
 
 PROPERTY = settings(deadline=None, max_examples=150)
@@ -87,6 +98,96 @@ def mp_z_star(p):
             return mpmath.mpf(0)
         # interior**(1/(k+1)) - 1 would cancel away most digits for huge k
         return mpmath.expm1(mpmath.log(interior) / (k + 1)) / alpha
+
+
+@st.composite
+def regime_periods(draw):
+    """A period at the corner (alpha*k*v*L <= 1), just past it (1 + 1e-10),
+    with an overflowing product alpha*k*v*L = inf, or anywhere."""
+    regime = draw(st.sampled_from(["corner", "near", "overflow", "any"]))
+    if regime == "any":
+        return draw(periods)
+    d = draw(dummies)
+    v = draw(st.floats(1e-3, 1.0))
+    if regime == "overflow":
+        # alpha*k alone overflows; the true product may still lie below 1
+        alpha, beta = draw(st.floats(1e300, 1e308)), draw(st.floats(1e10, 1e300))
+        loss = draw(st.floats(1e-300, 1e308))
+    else:
+        # k = 2 (beta 1 with the dummy, or beta 2) is where numpy squares
+        beta = draw(st.one_of(st.sampled_from([1.0, 2.0]), st.floats(1.0, 10.0)))
+        alpha = draw(st.floats(1e-3, 1e3))
+        scale = (1.0 + 1e-10) if regime == "near" else draw(st.floats(0.0, 1.0))
+        loss = scale / (alpha * (beta + d) * v)
+    return make_period(v, loss, alpha, beta, d)
+
+
+def left_to_right_net(plan, scenario):
+    """The net benefit summed period by period from 0.0, as scalar floats."""
+    total = 0.0
+    for z, p in zip(plan.amounts, scenario.periods):
+        total += ebis_eval(z, p) - z
+    return total
+
+
+@PROPERTY
+@given(st.lists(regime_periods(), min_size=1, max_size=12))
+def test_scenario_optimum_is_the_per_period_optimum(ps):
+    scenario = Scenario("x", tuple(ps))
+    expected = left_to_right_net(InvestmentPlan(tuple(map(closed_form_optimum, ps))), scenario)
+    if not math.isfinite(expected):
+        with pytest.raises(NumericError):
+            optimize_scenario(scenario)
+        return
+    result = optimize_scenario(scenario)
+    assert result.per_period == tuple(map(optimize_period, ps))
+    for r, p in zip(result.per_period, ps):
+        assert r.breach_probability_at_optimum == sbpf_eval(
+            r.z_star, p.vulnerability, p.technology)
+        assert r.ebis_at_optimum == ebis_eval(r.z_star, p)
+    assert result.plan.amounts == tuple(r.z_star for r in result.per_period)
+    assert result.enbis_total == expected
+
+
+@PROPERTY
+@given(st.lists(st.tuples(regime_periods(), st.floats(0.0, 1e308)), min_size=1, max_size=12))
+def test_enbis_is_the_left_to_right_sum(pairs):
+    scenario = Scenario("x", tuple(p for p, _ in pairs))
+    plan = InvestmentPlan(tuple(z for _, z in pairs))
+    expected = left_to_right_net(plan, scenario)
+    if math.isfinite(expected):
+        assert enbis_eval(plan, scenario) == expected
+    else:
+        with pytest.raises(NumericError):
+            enbis_eval(plan, scenario)
+
+
+def axis(values):
+    return st.lists(values, min_size=1, max_size=3)
+
+
+@PROPERTY
+@given(
+    axis(st.one_of(alphas, st.floats(1e300, 1e308))),
+    axis(st.one_of(betas, st.sampled_from([1.0, 2.0]))),
+    axis(vulnerabilities),
+    axis(st.one_of(losses, st.sampled_from([0.0, 2.0, 1e308]))),
+)
+def test_sweep_records_are_per_tuple_optima(alpha_axis, beta_axis, v_axis, loss_axis):
+    expected = []
+    for alpha, beta, v, loss in itertools.product(
+        sorted(alpha_axis), sorted(beta_axis), sorted(v_axis), sorted(loss_axis)
+    ):
+        z0 = closed_form_optimum(make_period(v, loss, alpha, beta, 0))
+        zd = closed_form_optimum(make_period(v, loss, alpha, beta, 1))
+        if zd < z0 - SHIFT_TOLERANCE:
+            direction = "left"
+        elif zd > z0 + SHIFT_TOLERANCE:
+            direction = "right"
+        else:
+            direction = "none"
+        expected.append(SweepRecord(alpha, beta, v, loss, z0, zd, direction))
+    assert optimum_shift_sweep(alpha_axis, beta_axis, v_axis, loss_axis) == expected
 
 
 @PROPERTY
