@@ -114,9 +114,8 @@ def dominance_check(
     the array ``z_grid``, strictly above it at every z > 0 (when both v and L
     are positive). EBIS is (v - S)*L, so for L > 0 this compares the breach
     probabilities S, which keep their order where both EBIS round to v*L.
-    The strict part is read from the exact ratio S_d/S_0 = 1/(alpha*z + 1),
-    which floats keep below 1 where alpha*z + 1 rounds to 1 or both S
-    underflow to 0.
+    Only S_d <= S_0 is tested in floats: the strict part holds exactly for
+    every valid alpha, as S_d/S_0 = 1/(alpha*z + 1) < 1 at every z > 0.
     """
     base_t = period_baseline.technology
     twin = replace(period_baseline, technology=replace(base_t, disruptive=1))
@@ -126,14 +125,7 @@ def dominance_check(
         )
     z = np.asarray(z_grid, dtype=float)
     v = period_baseline.vulnerability
-    s_base = sbpf_eval(z, v, base_t)
-    s_disr = sbpf_eval(z, v, period_disrupted.technology)
-    if not np.all(s_disr <= s_base):
-        return False
-    if v > 0 and period_baseline.loss > 0:
-        with np.errstate(over="ignore"):  # alpha*z = inf still gives a log > 0
-            return bool(np.all(np.log1p(base_t.alpha * z[z > 0]) > 0))
-    return True
+    return bool(np.all(sbpf_eval(z, v, period_disrupted.technology) <= sbpf_eval(z, v, base_t)))
 
 
 def optimum_shift_sweep(

@@ -12,6 +12,8 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .analysis import DEFAULT_DISRUPTION_THRESHOLD, delta_z, optimum_shift_sweep
 from .errors import DomainError, ModelError
 from .model import InvestmentPlan, PeriodSpec, Scenario, TechnologyProfile
@@ -21,6 +23,7 @@ from .scenario_io import (
     emit_curve_csv,
     emit_mix_csv,
     fmt,
+    fmt_rows,
     parse_scenario,
     render_curve_svg,
 )
@@ -60,19 +63,23 @@ def _period_from_args(args, alpha=None, beta=None, disruptive=0) -> PeriodSpec:
     )
 
 
+def _floats(records: Sequence, *names: str) -> list[np.ndarray]:
+    """The attribute ``name`` of every record, as one float array per name."""
+    return [np.array([getattr(r, name) for r in records], dtype=float) for name in names]
+
+
 def _cmd_optimize(args) -> int:
     scenario = _load_scenario(args.scenario)
     result = optimize_scenario(scenario)
+    records = result.per_period
+    z, breach, ebis = _floats(records, "z_star", "breach_probability_at_optimum",
+                              "ebis_at_optimum")
     print(f"scenario={scenario.label}")
     print(f"periods={scenario.horizon}")
-    for i, rec in enumerate(result.per_period, start=1):
-        print(
-            f"period {i}: z_star={fmt(rec.z_star)} "
-            f"breach_probability={fmt(rec.breach_probability_at_optimum)} "
-            f"ebis={fmt(rec.ebis_at_optimum)} "
-            f"enbis={fmt(rec.ebis_at_optimum - rec.z_star)} "
-            f"method={rec.method}"
-        )
+    sys.stdout.writelines(fmt_rows(
+        "period %d: z_star=%.6f breach_probability=%.6f ebis=%.6f enbis=%.6f method=%s",
+        [range(1, len(records) + 1), z, breach, ebis, ebis - z, [r.method for r in records]],
+    ))
     print(f"enbis_total={fmt(result.enbis_total)}")
     return 0
 
@@ -97,9 +104,7 @@ def _cmd_mix_curve(args) -> int:
     csv_text = emit_mix_csv(period_pre, period_post, args.switch_index, grid)
     sys.stdout.write(csv_text)
     if args.svg:
-        rows = [ln.split(",") for ln in csv_text.splitlines()[1:]]
-        flat = "z,ebis\n" + "\n".join(f"{r[2]},{r[3]}" for r in rows) + "\n"
-        Path(args.svg).write_text(render_curve_svg(flat))
+        Path(args.svg).write_text(render_curve_svg(csv_text))
     return 0
 
 
@@ -137,15 +142,11 @@ def _cmd_sweep(args) -> int:
         _parse_values(args.vulnerability, "--vulnerability"),
         _parse_values(args.loss, "--loss"),
     )
-    print(
-        "alpha,beta,vulnerability,loss,"
-        "z_star_baseline,z_star_disrupted,shift_direction"
-    )
-    for r in records:
-        print(
-            f"{fmt(r.alpha)},{fmt(r.beta)},{fmt(r.vulnerability)},{fmt(r.loss)},"
-            f"{fmt(r.z_star_baseline)},{fmt(r.z_star_disrupted)},{r.shift_direction}"
-        )
+    print("alpha,beta,vulnerability,loss,z_star_baseline,z_star_disrupted,shift_direction")
+    values = _floats(records, "alpha", "beta", "vulnerability", "loss",
+                     "z_star_baseline", "z_star_disrupted")
+    directions = [r.shift_direction for r in records]
+    sys.stdout.writelines(fmt_rows("%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,%s", [*values, directions]))
     return 0
 
 

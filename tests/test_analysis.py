@@ -173,6 +173,12 @@ class TestDominanceCheck:
         assert sbpf_eval(1e-20, 0.5, period().technology) == 0.5
         assert dominance_check(period(), period(d=1), [0.0, 1e-20])
 
+    def test_holds_where_alpha_z_underflows(self):
+        # alpha*z = 1e-330 is below the smallest subnormal and rounds to 0
+        base, disr = period(alpha=1e-300), period(alpha=1e-300, d=1)
+        assert base.technology.alpha * 1e-30 == 0.0
+        assert dominance_check(base, disr, [0.0, 1e-30])
+
     def test_holds_where_both_breach_probabilities_underflow(self):
         base, disr = period(beta=5.0), period(beta=5.0, d=1)
         assert sbpf_eval(1e300, 0.5, base.technology) == 0.0

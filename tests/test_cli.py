@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import secinvest
-from secinvest import run_cli
+from secinvest import optimize_scenario, optimum_shift_sweep, parse_scenario, run_cli
+from secinvest.scenario_io import fmt
 
 ONE_PERIOD_VL10 = {
     "label": "one-period-vl10",
@@ -291,3 +293,59 @@ def test_package_import_does_not_load_the_cli():
     )
     result = _run_python("-c", code)
     assert result.returncode == 0, result.stderr
+
+
+# 17 * 2 * 121 = 4114 tuples, more than one block of rows; "-0" must print 0.000000
+SWEEP_AXES = {
+    "--alpha": [str(0.1 * i) for i in range(1, 18)],
+    "--beta": ["1"],
+    "--vulnerability": ["-0", "0.5"],
+    "--loss": ["-0", *(str(10 * i) for i in range(1, 121))],
+}
+
+
+def test_sweep_rows_equal_per_record_fmt(capsys):
+    argv = ["sweep", *(f"{flag}={','.join(values)}" for flag, values in SWEEP_AXES.items())]
+    assert run_cli(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    records = optimum_shift_sweep(*([float(x) for x in axis] for axis in SWEEP_AXES.values()))
+    assert len(records) > 4096
+    assert lines[1:] == [
+        f"{fmt(r.alpha)},{fmt(r.beta)},{fmt(r.vulnerability)},{fmt(r.loss)},"
+        f"{fmt(r.z_star_baseline)},{fmt(r.z_star_disrupted)},{r.shift_direction}"
+        for r in records
+    ]
+    assert not any("-0.000000" in line for line in lines)
+
+
+def test_sweep_negative_zero_loss_prints_zero(capsys):
+    assert run_cli(["sweep", "--loss", "-0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == ["1.000000,1.000000,0.500000,0.000000,0.000000,0.000000,none"]
+
+
+def test_optimize_rows_equal_per_record_fmt(scenario_file, capsys):
+    rng = random.Random(11)
+    payload = {
+        "label": "many",
+        "periods": [
+            {
+                "vulnerability": rng.choice([-0.0, rng.random()]),
+                "loss": rng.choice([-0.0, rng.uniform(0.0, 1e4)]),
+                "alpha": rng.uniform(0.01, 10.0),
+                "beta": rng.uniform(1.0, 5.0),
+                "disruptive": rng.randint(0, 1),
+            }
+            for _ in range(4097)
+        ],
+    }
+    assert run_cli(["optimize", scenario_file("many.json", payload)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    result = optimize_scenario(parse_scenario(json.dumps(payload)))
+    assert lines[2:-1] == [
+        f"period {i}: z_star={fmt(r.z_star)} "
+        f"breach_probability={fmt(r.breach_probability_at_optimum)} "
+        f"ebis={fmt(r.ebis_at_optimum)} enbis={fmt(r.ebis_at_optimum - r.z_star)} "
+        f"method={r.method}"
+        for i, r in enumerate(result.per_period, start=1)
+    ]

@@ -5,13 +5,14 @@ from secinvest import (
     ParseError,
     PeriodSpec,
     TechnologyProfile,
+    ebis_eval,
     emit_curve_csv,
     emit_mix_csv,
     parse_scenario,
     render_curve_svg,
     scenario_to_json,
 )
-from secinvest.scenario_io import _z_grid
+from secinvest.scenario_io import _z_grid, fmt
 
 MINIMAL = """
 {
@@ -123,6 +124,20 @@ class TestMixCsv:
         post_val = float(lines[3].split(",")[3])
         gap = ebis_eval(1.0, period(d=1)) - ebis_eval(1.0, period())
         assert post_val - pre_val == pytest.approx(gap, abs=1e-6)
+
+
+class TestMixCsvEdges:
+    @pytest.mark.parametrize(
+        "switch_index, grid",
+        [(0, [0.0, 0.5, 1.0]), (7, [0.0, 0.5, 1.0]), (0, []), (3, [])],
+    )
+    def test_rows_equal_per_row_fmt(self, switch_index, grid):
+        pre, post = period(), period(d=1)
+        expected = ["index,branch,z,ebis"]
+        for i, z in enumerate(grid):
+            branch, p = ("pre", pre) if i < switch_index else ("post", post)
+            expected.append(f"{i},{branch},{fmt(z)},{fmt(ebis_eval(z, p))}")
+        assert emit_mix_csv(pre, post, switch_index, grid) == "\n".join(expected) + "\n"
 
 
 class TestSvg:

@@ -7,6 +7,7 @@ corner and where alpha*k*v*L overflows), every row of the whole-grid curve
 CSVs equals the one formatted from scalar evaluations, and every invalid
 input (nan, +-inf, bools, 400-digit ints, out-of-range values) fails with a
 ModelError subclass, in the library and through the CLI.
+The array SVG renderer draws what a per-point reference renderer draws.
 """
 
 import contextlib
@@ -40,6 +41,7 @@ from secinvest import (
     optimize_scenario,
     optimum_shift_sweep,
     parse_scenario,
+    render_curve_svg,
     run_cli,
     sbpf_eval,
 )
@@ -290,6 +292,77 @@ def test_mix_rows_match_scalar_evaluation(v, loss, alpha, beta, alpha_post, beta
         branch, p = ("pre", pre) if i < switch_index else ("post", post)
         expected.append(f"{i},{branch},{fmt(z)},{fmt(ebis_eval(z, p))}")
     assert rows[1:] == expected
+
+
+def per_point_svg(csv_text, width=640, height=480):
+    """The per-point renderer that ``render_curve_svg`` replaced: every column
+    after the first against the first, one Python expression per point."""
+    rows = [
+        line.split(",")
+        for line in csv_text.splitlines()
+        if line and not line.startswith("#")
+    ]
+    header, data = rows[0], rows[1:]
+    xs = [float(r[0]) for r in data]
+    x_lo, x_hi = min(xs), max(xs)
+    x_span = (x_hi - x_lo) or 1.0
+    margin = 40.0
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">'
+    ]
+    colors = ["#1f77b4", "#2ca02c", "#d62728", "#9467bd"]
+    for col in range(1, len(header)):
+        ys = [float(r[col]) for r in data]
+        y_lo, y_hi = min(ys), max(ys)
+        y_span = (y_hi - y_lo) or 1.0
+        pts = " ".join(
+            f"{margin + (x - x_lo) / x_span * (width - 2 * margin):.2f},"
+            f"{height - margin - (y - y_lo) / y_span * (height - 2 * margin):.2f}"
+            for x, y in zip(xs, ys)
+        )
+        color = colors[(col - 1) % len(colors)]
+        parts.append(
+            f'<polyline fill="none" stroke="{color}" points="{pts}"/>'
+        )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+cells = st.one_of(
+    st.floats(-1e9, 1e9).map(lambda x: f"{x:.6f}"),
+    st.just("-0.000000"),
+)
+
+
+@st.composite
+def svg_column(draw, extent, rows):
+    """``rows`` CSV cells: arbitrary ones, one repeated cell (span 1.0), or
+    0, ``extent`` and values k/100 + 0.005, which put the plotted
+    coordinate next to a rounding boundary of ``%.2f``."""
+    kind = draw(st.sampled_from(["cells", "constant", "boundary"]))
+    if kind == "cells":
+        return draw(st.lists(cells, min_size=rows, max_size=rows))
+    if kind == "constant":
+        return [draw(cells)] * rows
+    ks = draw(st.lists(st.integers(0, extent * 100 - 1), min_size=rows - 2, max_size=rows - 2))
+    return ["0.000000", f"{extent}.000000", *(f"{k / 100 + 0.005:.6f}" for k in ks)]
+
+
+@PROPERTY
+@given(st.integers(1, 4), st.integers(2, 30), st.booleans(), st.data())
+def test_svg_equals_the_per_point_renderer(curves, rows, mix_layout, data):
+    # 560 and 400 are the plot's width and height inside the margins
+    columns = [data.draw(svg_column(extent, rows)) for extent in [560] + [400] * curves]
+    body = [",".join(cells) for cells in zip(*columns)]
+    header = ",".join(["z", *(f"c{i}" for i in range(curves))])
+    csv_text = "\n".join([header, *body, "# z_star_0=1.000000"]) + "\n"
+    expected = per_point_svg(csv_text)
+    if mix_layout:
+        # a mix CSV: index and branch columns ahead of z are not drawn
+        body = [f"{i},pre,{line}" for i, line in enumerate(body)]
+        csv_text = "\n".join([f"index,branch,{header}", *body]) + "\n"
+    assert render_curve_svg(csv_text) == expected
 
 
 @PROPERTY
