@@ -4,7 +4,6 @@ for a disruptive-technology discontinuity and scenario comparison."""
 from .analysis import (
     DEFAULT_DISRUPTION_THRESHOLD,
     DeltaZReport,
-    SweepRecord,
     classify_disruptive,
     delta_z,
     dominance_check,
@@ -31,7 +30,6 @@ from .model import (
 )
 from .optimize import (
     OptimizationResult,
-    PeriodOptimum,
     closed_form_optimum,
     golden_section_optimum,
     grid_oracle,
@@ -68,10 +66,8 @@ __all__ = [
     "NumericError",
     "OptimizationResult",
     "ParseError",
-    "PeriodOptimum",
     "PeriodSpec",
     "Scenario",
-    "SweepRecord",
     "TechnologyProfile",
     "classify_disruptive",
     "closed_form_optimum",

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -11,6 +10,7 @@ import numpy as np
 
 from .errors import ContractError, DomainError, NumericError
 from .model import (
+    MAX_GRID,
     InvestmentPlan,
     PeriodBatch,
     PeriodSpec,
@@ -23,6 +23,11 @@ from .optimize import z_star
 
 DEFAULT_DISRUPTION_THRESHOLD = 0.10
 SHIFT_TOLERANCE = 1e-9
+# one row of optimum_shift_sweep; shift_direction is left, right or none
+_SWEEP_DTYPE = np.dtype([
+    ("alpha", float), ("beta", float), ("vulnerability", float), ("loss", float),
+    ("z_star_baseline", float), ("z_star_disrupted", float), ("shift_direction", "U5"),
+])
 
 
 @dataclass(frozen=True)
@@ -35,17 +40,6 @@ class DeltaZReport:
     period_count: int
     classified_disruptive: bool
     threshold_used: float
-
-
-@dataclass(frozen=True)
-class SweepRecord:
-    alpha: float
-    beta: float
-    vulnerability: float
-    loss: float
-    z_star_baseline: float
-    z_star_disrupted: float
-    shift_direction: str  # left | right | none
 
 
 def delta_z(
@@ -133,37 +127,35 @@ def optimum_shift_sweep(
     betas: Sequence[float],
     vulnerabilities: Sequence[float],
     losses: Sequence[float],
-) -> list[SweepRecord]:
+) -> np.recarray:
     """Optimal investment with and without disruption over a parameter grid.
 
     Quantifies where the left-shift claim for the argmax actually holds;
-    the direction is parameter-dependent. Records come back sorted by the
-    parameter tuple (``itertools.product`` of the sorted lists) so the
-    output stays deterministic.
+    the direction is parameter-dependent. Returns a record array with one
+    row per parameter tuple, in the order of ``itertools.product`` of the
+    sorted lists, so the output stays deterministic.
     """
     axes = [sorted(values) for values in (alphas, betas, vulnerabilities, losses)]
-    if not all(axes):
-        return []
+    shape = tuple(map(len, axes))
+    count = math.prod(shape)
+    if count > MAX_GRID:
+        raise DomainError(f"need at most {MAX_GRID} sweep tuples, got {count}")
+    table = np.recarray(shape, dtype=_SWEEP_DTYPE)
+    if not count:
+        return table.reshape(-1)
     _validate_axes(*axes)
-    # meshgrid's "ij" order is the order of itertools.product; a record is
-    # the product's tuple of the caller's own values plus the tuple's optima
-    rows = map(tuple.__add__, itertools.product(*axes), zip(*_shifts(axes)))
-    return list(itertools.starmap(SweepRecord, rows))
-
-
-def _shifts(axes) -> tuple[list[float], list[float], np.ndarray]:
-    """z* without and with the dummy over the grid of the four axes, and
-    the shift direction, per tuple in "ij" order. The grid arrays are freed
-    on return, before the records are built."""
-    grid = np.meshgrid(*(np.array(axis, dtype=float) for axis in axes), indexing="ij")
-    alpha, beta, v, loss = (x.ravel() for x in grid)
-    z0 = z_star(PeriodBatch(alpha, beta, v, loss))
-    zd = z_star(PeriodBatch(alpha, beta + 1.0, v, loss))
-    # an object array holds the same three strings, not one copy per tuple
-    direction = np.full(z0.size, "none", dtype=object)
-    direction[zd > z0 + SHIFT_TOLERANCE] = "right"
-    direction[zd < z0 - SHIFT_TOLERANCE] = "left"
-    return z0.tolist(), zd.tolist(), direction
+    # flattened, the "ij" grid is in the order of itertools.product; each
+    # sparse axis broadcasts into its column
+    for name, column in zip(_SWEEP_DTYPE.names, np.meshgrid(*axes, indexing="ij", sparse=True)):
+        table[name] = column
+    table = table.reshape(-1)
+    batch = PeriodBatch(table.alpha, table.beta, table.vulnerability, table.loss)
+    z0 = table["z_star_baseline"] = z_star(batch)
+    zd = table["z_star_disrupted"] = z_star(batch._replace(k=batch.k + 1.0))
+    table["shift_direction"] = np.select(
+        [zd < z0 - SHIFT_TOLERANCE, zd > z0 + SHIFT_TOLERANCE], ["left", "right"], "none"
+    )
+    return table
 
 
 def _validate_axes(alphas, betas, vulnerabilities, losses) -> None:

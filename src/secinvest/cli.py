@@ -12,8 +12,6 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from .analysis import DEFAULT_DISRUPTION_THRESHOLD, delta_z, optimum_shift_sweep
 from .errors import DomainError, ModelError
 from .model import InvestmentPlan, PeriodSpec, Scenario, TechnologyProfile
@@ -63,22 +61,16 @@ def _period_from_args(args, alpha=None, beta=None, disruptive=0) -> PeriodSpec:
     )
 
 
-def _floats(records: Sequence, *names: str) -> list[np.ndarray]:
-    """The attribute ``name`` of every record, as one float array per name."""
-    return [np.array([getattr(r, name) for r in records], dtype=float) for name in names]
-
-
 def _cmd_optimize(args) -> int:
     scenario = _load_scenario(args.scenario)
     result = optimize_scenario(scenario)
-    records = result.per_period
-    z, breach, ebis = _floats(records, "z_star", "breach_probability_at_optimum",
-                              "ebis_at_optimum")
+    table = result.per_period
+    z, ebis = table.z_star, table.ebis_at_optimum
     print(f"scenario={scenario.label}")
     print(f"periods={scenario.horizon}")
     sys.stdout.writelines(fmt_rows(
-        "period %d: z_star=%.6f breach_probability=%.6f ebis=%.6f enbis=%.6f method=%s",
-        [range(1, len(records) + 1), z, breach, ebis, ebis - z, [r.method for r in records]],
+        "period %d: z_star=%.6f breach_probability=%.6f ebis=%.6f enbis=%.6f method=closed_form",
+        [range(1, len(table) + 1), z, table.breach_probability_at_optimum, ebis, ebis - z],
     ))
     print(f"enbis_total={fmt(result.enbis_total)}")
     return 0
@@ -136,17 +128,15 @@ def _cmd_delta_z(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    records = optimum_shift_sweep(
+    table = optimum_shift_sweep(
         _parse_values(args.alpha, "--alpha"),
         _parse_values(args.beta, "--beta"),
         _parse_values(args.vulnerability, "--vulnerability"),
         _parse_values(args.loss, "--loss"),
     )
-    print("alpha,beta,vulnerability,loss,z_star_baseline,z_star_disrupted,shift_direction")
-    values = _floats(records, "alpha", "beta", "vulnerability", "loss",
-                     "z_star_baseline", "z_star_disrupted")
-    directions = [r.shift_direction for r in records]
-    sys.stdout.writelines(fmt_rows("%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,%s", [*values, directions]))
+    print(",".join(table.dtype.names))
+    columns = [table[name] for name in table.dtype.names]
+    sys.stdout.writelines(fmt_rows("%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,%s", columns))
     return 0
 
 

@@ -16,6 +16,10 @@ from .errors import ContractError, DomainError, NumericError
 
 ArrayLike = Union[float, np.ndarray]
 
+# largest curve grid (in steps) and sweep grid (in tuples); 10**6 rows
+# already print tens of MB of CSV
+MAX_GRID = 10**6
+
 
 def _finite(name: str, value) -> None:
     """Reject anything but a finite real number: bools, non-numbers, nan,

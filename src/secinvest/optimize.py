@@ -8,7 +8,6 @@ breach-probability family).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -34,20 +33,14 @@ _GOLDEN_MAX_STEPS = 3100
 
 
 @dataclass(frozen=True)
-class PeriodOptimum:
-    """Optimal investment for a single period, with curve values at the optimum."""
-
-    z_star: float
-    breach_probability_at_optimum: float
-    ebis_at_optimum: float
-    method: str  # closed_form | golden_section | grid
-
-
-@dataclass(frozen=True)
 class OptimizationResult:
+    """``per_period`` is a record array with one row per period and the
+    fields ``z_star``, ``breach_probability_at_optimum`` and
+    ``ebis_at_optimum``."""
+
     plan: InvestmentPlan
     enbis_total: float
-    per_period: tuple[PeriodOptimum, ...]
+    per_period: np.recarray
 
 
 def z_star(batch: PeriodBatch) -> np.ndarray:
@@ -134,32 +127,29 @@ def grid_oracle(period: PeriodSpec, z_max: float, steps: int) -> float:
     return float(z[int(np.argmax(values))])
 
 
-def _optima(batch: PeriodBatch) -> tuple[list[float], tuple[PeriodOptimum, ...], np.ndarray]:
-    """z* of every period, its closed-form record, and its net benefit ebis - z*."""
+def _optima(batch: PeriodBatch) -> tuple[np.recarray, np.ndarray]:
+    """The closed-form optimum of every period with the curve values there,
+    and its net benefit ebis - z*."""
     z = z_star(batch)
-    z_list = z.tolist()
-    gain = ebis(z, batch)
-    records = tuple(map(
-        PeriodOptimum,
-        z_list,
-        breach(z, batch).tolist(),
-        gain.tolist(),
-        itertools.repeat("closed_form"),
-    ))
-    gain -= z
-    return z_list, records, gain
+    table = np.rec.fromarrays(
+        (z, breach(z, batch), ebis(z, batch)),
+        names="z_star,breach_probability_at_optimum,ebis_at_optimum",
+    )
+    table.flags.writeable = False  # per_period of a frozen result
+    return table, table.ebis_at_optimum - z
 
 
-def optimize_period(period: PeriodSpec) -> PeriodOptimum:
-    """Optimal investment for one period via the closed form."""
-    return _optima(PeriodBatch.of((period,)))[1][0]
+def optimize_period(period: PeriodSpec) -> np.record:
+    """Optimal investment for one period via the closed form: the row of
+    ``optimize_scenario``'s ``per_period``."""
+    return _optima(PeriodBatch.of((period,)))[0][0]
 
 
 def optimize_scenario(scenario: Scenario) -> OptimizationResult:
     """Optimize each period independently; the multi-period sum separates."""
-    z, records, net = _optima(PeriodBatch.of(scenario.periods))
+    table, net = _optima(PeriodBatch.of(scenario.periods))
     return OptimizationResult(
-        plan=InvestmentPlan(tuple(z)),
+        plan=InvestmentPlan(tuple(table.z_star.tolist())),
         enbis_total=net_total(net, scenario.label),
-        per_period=records,
+        per_period=table,
     )

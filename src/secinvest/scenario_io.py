@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import DomainError, ParseError
 from .model import (
+    MAX_GRID,
     PeriodSpec,
     Scenario,
     TechnologyProfile,
@@ -26,8 +27,6 @@ from .model import (
 from .optimize import closed_form_optimum
 
 _PERIOD_FIELDS = ("vulnerability", "loss", "alpha", "beta", "disruptive")
-# largest curve grid; 10**6 steps already print tens of MB of CSV
-_MAX_STEPS = 10**6
 # rows per % in fmt_rows: at 4096 the peak RSS of a 20736-row sweep rose by 5%
 _CHUNK_ROWS = 1024
 
@@ -46,7 +45,7 @@ def fmt_rows(row: str, columns: Sequence) -> Iterator[str]:
         values = [None] * (len(block[0]) * len(block))
         for j, part in enumerate(block):
             if isinstance(part, np.ndarray):
-                part = (part + 0.0).tolist()
+                part = (part + 0.0 if part.dtype.kind == "f" else part).tolist()
             values[j :: len(block)] = part
         yield (row + "\n") * len(block[0]) % tuple(values)
 
@@ -62,6 +61,8 @@ def parse_scenario(document: str) -> Scenario:
         ) from exc
     except ValueError as exc:  # an integer literal beyond the digit limit
         raise ParseError(f"invalid number: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("arrays or objects nested too deeply") from exc
     if not isinstance(data, dict):
         raise ParseError("top-level value must be an object")
     unknown = set(data) - {"label", "periods"}
@@ -114,12 +115,15 @@ def scenario_to_json(scenario: Scenario) -> str:
 
 
 def _z_grid(z_min: float, z_max: float, steps: int) -> np.ndarray:
-    if not (0 <= z_min < z_max < math.inf) or not (2 <= steps <= _MAX_STEPS):
+    if not (0 <= z_min < z_max < math.inf) or not (2 <= steps <= MAX_GRID):
         raise DomainError(
-            f"need finite 0 <= z_min < z_max and 2 <= steps <= {_MAX_STEPS}, got "
+            f"need finite 0 <= z_min < z_max and 2 <= steps <= {MAX_GRID}, got "
             f"z_min={z_min}, z_max={z_max}, steps={steps}"
         )
-    return np.linspace(float(z_min), float(z_max), int(steps) + 1)
+    # near the float maximum, linspace's last step * index may overflow; it
+    # then sets that last point to z_max itself
+    with np.errstate(over="ignore"):
+        return np.linspace(float(z_min), float(z_max), int(steps) + 1)
 
 
 def emit_curve_csv(

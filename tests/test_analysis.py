@@ -215,6 +215,20 @@ class TestOptimumShiftSweep:
         keys = [(r.alpha, r.beta, r.vulnerability, r.loss) for r in records]
         assert keys == sorted(keys)
 
+    # an empty axis gives no tuples, whatever the other axes hold
+    @pytest.mark.parametrize("axes", [
+        ([], [1.0], [0.5], [4.0]),
+        ([1.0], [1.0], [math.nan], []),
+        ([2.0, 1.0], [1.0, 3.0, 2.0], [0.5], [4.0, 20.0]),
+    ])
+    def test_len_is_the_tuple_count(self, axes):
+        table = optimum_shift_sweep(*axes)
+        assert table.dtype.names == (
+            "alpha", "beta", "vulnerability", "loss",
+            "z_star_baseline", "z_star_disrupted", "shift_direction",
+        )
+        assert len(table) == math.prod(map(len, axes))
+
 
 class TestThresholdDomain:
     @pytest.mark.parametrize("threshold", [-0.1, math.nan, math.inf])

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -276,6 +277,35 @@ def test_steps_beyond_the_limit_exit_1(command, steps, capsys):
     assert captured.out == ""
 
 
+def test_sweep_beyond_the_limit_exits_1_before_allocating(capsys):
+    # 101**3 tuples, just above the 10**6 of the largest curve grid
+    values = [str(i) for i in range(1, 102)]
+    argv = ["sweep", "--alpha", ",".join(values), "--beta", ",".join(values),
+            "--vulnerability", ",".join(str(i / 100) for i in range(101)), "--loss", "1"]
+    tracemalloc.start()
+    try:
+        code = run_cli(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: need at most 1000000 sweep tuples, got 1030301\n"
+    assert captured.out == ""
+    # the table alone would take 68 bytes per tuple
+    assert peak < 10**6
+
+
+@pytest.mark.parametrize("opening, closing", [("[", "]"), ('{"a":', "}")])
+def test_deeply_nested_scenario_exits_1(opening, closing, tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(opening * 200_000 + "0" + closing * 200_000)
+    assert run_cli(["optimize", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: arrays or objects nested too deeply\n"
+    assert captured.out == ""
+
+
 def test_extreme_valid_inputs_write_nothing_to_stderr():
     result = _run_python(
         "-m", "secinvest.cli", "curve", "--vulnerability", "0.5", "--loss", "100",
@@ -285,11 +315,21 @@ def test_extreme_valid_inputs_write_nothing_to_stderr():
     assert result.stderr == ""
 
 
+def test_grid_ending_at_the_largest_float_writes_nothing_to_stderr():
+    # the default grid [0, v*L] ends at the largest float
+    result = _run_python(
+        "-m", "secinvest.cli", "curve", "--vulnerability", "1",
+        "--loss", "1.7976931348623157e308", "--alpha", "1", "--beta", "1", "--steps", "3",
+    )
+    assert result.returncode == 0
+    assert result.stderr == ""
+
+
 def test_package_import_does_not_load_the_cli():
     code = (
         "import sys, secinvest; assert 'secinvest.cli' not in sys.modules; "
         "from secinvest import run_cli; assert 'secinvest.cli' in sys.modules; "
-        "assert len(secinvest.__all__) == 35"
+        "assert len(secinvest.__all__) == 33"
     )
     result = _run_python("-c", code)
     assert result.returncode == 0, result.stderr
@@ -346,6 +386,6 @@ def test_optimize_rows_equal_per_record_fmt(scenario_file, capsys):
         f"period {i}: z_star={fmt(r.z_star)} "
         f"breach_probability={fmt(r.breach_probability_at_optimum)} "
         f"ebis={fmt(r.ebis_at_optimum)} enbis={fmt(r.ebis_at_optimum - r.z_star)} "
-        f"method={r.method}"
+        "method=closed_form"
         for i, r in enumerate(result.per_period, start=1)
     ]

@@ -138,7 +138,15 @@ class TestOptimizeScenario:
         rec = optimize_period(p)
         assert result.plan.amounts == (rec.z_star,)
         assert result.per_period[0] == rec
-        assert result.per_period[0].method == "closed_form"
+        assert result.per_period.dtype.names == (
+            "z_star", "breach_probability_at_optimum", "ebis_at_optimum")
+
+    def test_optima_are_read_only(self):
+        result = optimize_scenario(Scenario("one", (period(),)))
+        with pytest.raises(ValueError, match="read-only"):
+            result.per_period.z_star[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            optimize_period(period()).z_star = 0.0
 
     def test_two_identical_periods_double_the_total(self):
         p = period()

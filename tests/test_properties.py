@@ -29,7 +29,6 @@ from secinvest import (
     ParseError,
     PeriodSpec,
     Scenario,
-    SweepRecord,
     TechnologyProfile,
     closed_form_optimum,
     ebis_eval,
@@ -142,7 +141,7 @@ def test_scenario_optimum_is_the_per_period_optimum(ps):
             optimize_scenario(scenario)
         return
     result = optimize_scenario(scenario)
-    assert result.per_period == tuple(map(optimize_period, ps))
+    assert result.per_period.tolist() == [optimize_period(p).item() for p in ps]
     for r, p in zip(result.per_period, ps):
         assert r.breach_probability_at_optimum == sbpf_eval(
             r.z_star, p.vulnerability, p.technology)
@@ -164,6 +163,10 @@ def test_enbis_is_the_left_to_right_sum(pairs):
             enbis_eval(plan, scenario)
 
 
+SWEEP_FIELDS = ("alpha", "beta", "vulnerability", "loss",
+                "z_star_baseline", "z_star_disrupted", "shift_direction")
+
+
 def axis(values):
     return st.lists(values, min_size=1, max_size=3)
 
@@ -176,7 +179,7 @@ def axis(values):
     axis(st.one_of(losses, st.sampled_from([0.0, 2.0, 1e308]))),
 )
 def test_sweep_records_are_per_tuple_optima(alpha_axis, beta_axis, v_axis, loss_axis):
-    expected = []
+    rows = []
     for alpha, beta, v, loss in itertools.product(
         sorted(alpha_axis), sorted(beta_axis), sorted(v_axis), sorted(loss_axis)
     ):
@@ -188,8 +191,12 @@ def test_sweep_records_are_per_tuple_optima(alpha_axis, beta_axis, v_axis, loss_
             direction = "right"
         else:
             direction = "none"
-        expected.append(SweepRecord(alpha, beta, v, loss, z0, zd, direction))
-    assert optimum_shift_sweep(alpha_axis, beta_axis, v_axis, loss_axis) == expected
+        rows.append((alpha, beta, v, loss, z0, zd, direction))
+    table = optimum_shift_sweep(alpha_axis, beta_axis, v_axis, loss_axis)
+    assert table.dtype.names == SWEEP_FIELDS
+    assert len(table) == len(rows)
+    for name, column in zip(SWEEP_FIELDS, zip(*rows)):
+        assert table[name].tolist() == list(column), name
 
 
 @PROPERTY
