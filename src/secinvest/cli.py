@@ -35,6 +35,14 @@ def _load_scenario(path: str) -> Scenario:
     return parse_scenario(text)
 
 
+def _write_svg(path: str, csv_text: str) -> None:
+    svg = render_curve_svg(csv_text)
+    try:
+        Path(path).write_text(svg)
+    except OSError as exc:
+        raise DomainError(f"cannot write SVG file {path}: {exc}") from exc
+
+
 def _parse_values(raw: str, flag: str) -> tuple[float, ...]:
     try:
         return tuple(float(part) for part in raw.split(","))
@@ -84,7 +92,7 @@ def _cmd_curve(args) -> int:
     )
     sys.stdout.write(csv_text)
     if args.svg:
-        Path(args.svg).write_text(render_curve_svg(csv_text))
+        _write_svg(args.svg, csv_text)
     return 0
 
 
@@ -96,21 +104,19 @@ def _cmd_mix_curve(args) -> int:
     csv_text = emit_mix_csv(period_pre, period_post, args.switch_index, grid)
     sys.stdout.write(csv_text)
     if args.svg:
-        Path(args.svg).write_text(render_curve_svg(csv_text))
+        _write_svg(args.svg, csv_text)
     return 0
 
 
 def _cmd_delta_z(args) -> int:
     scenario_a = _load_scenario(args.scenario_a)
     scenario_b = _load_scenario(args.scenario_b)
-    if args.strict:
-        vl_a = [(p.vulnerability, p.loss) for p in scenario_a.periods]
-        vl_b = [(p.vulnerability, p.loss) for p in scenario_b.periods]
-        if vl_a != vl_b:
-            raise DomainError(
-                "strict mode: vulnerability/loss sequences of the two "
-                "scenarios must be identical"
-            )
+    # the vulnerability and loss columns, compared as the file gave them
+    if args.strict and scenario_a.columns[:2] != scenario_b.columns[:2]:
+        raise DomainError(
+            "strict mode: vulnerability/loss sequences of the two "
+            "scenarios must be identical"
+        )
     if args.optimize:
         plan_a = optimize_scenario(scenario_a).plan
         plan_b = optimize_scenario(scenario_b).plan

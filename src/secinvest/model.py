@@ -7,8 +7,10 @@ safe to share across threads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, Union
+from functools import cached_property
+from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -19,17 +21,62 @@ ArrayLike = Union[float, np.ndarray]
 # largest curve grid (in steps) and sweep grid (in tuples); 10**6 rows
 # already print tens of MB of CSV
 MAX_GRID = 10**6
+# the fields of a period, in the order of a scenario's columns
+PERIOD_FIELDS = ("vulnerability", "loss", "alpha", "beta", "disruptive")
+# The domain of each numeric field: a predicate that holds elementwise on a
+# finite float or on a float array, and its text in the error message. The
+# types apply it to one value, parse_scenario and InvestmentPlan to a column.
+_DOMAIN = {
+    "vulnerability": (lambda x: (0.0 <= x) & (x <= 1.0), "must lie in [0, 1]"),
+    "loss": (lambda x: x >= 0.0, "must be >= 0"),
+    "alpha": (lambda x: x > 0, "must be > 0"),
+    "beta": (lambda x: x >= 1, "must be >= 1"),
+}
 
 
-def _finite(name: str, value) -> None:
-    """Reject anything but a finite real number: bools, non-numbers, nan,
-    +-inf and ints too large for a float."""
+def _check(name: str, value, field: str | None = None) -> None:
+    """Reject anything but a finite real number in the domain of ``field``
+    (by default ``name``); bools, non-numbers, nan, +-inf and ints too large
+    for a float are not finite numbers."""
     try:
-        if not isinstance(value, bool) and math.isfinite(value):
-            return
+        finite = not isinstance(value, bool) and math.isfinite(value)
     except (TypeError, OverflowError):
+        finite = False
+    if not finite:
+        raise DomainError(f"{name} must be a finite number, got {value!r}")
+    holds, text = _DOMAIN[field or name]
+    if not holds(value):
+        raise DomainError(f"{name} {text}, got {value}")
+
+
+def _is_dummy(d) -> bool:
+    return type(d) is int and d in (0, 1)
+
+
+def _first_fault(column: Sequence, field: str) -> int:
+    """Index of the first value that ``_check`` rejects for ``field``, or the
+    length; plain ints and floats within the float range make one mask."""
+    try:
+        if set(map(type, column)) <= {int, float}:  # bool is neither
+            x = np.array(column, dtype=float)
+            ok = np.isfinite(x) & _DOMAIN[field][0](x)
+            return len(column) if ok.all() else int(ok.argmin())
+    except OverflowError:  # an int beyond the float range
         pass
-    raise DomainError(f"{name} must be a finite number, got {value!r}")
+    for i, value in enumerate(column):
+        try:
+            _check("", value, field)
+        except DomainError:
+            return i
+    return len(column)
+
+
+def first_invalid(columns: Sequence[Sequence]) -> int:
+    """Index of the first period, given as columns in the order of
+    ``PERIOD_FIELDS``, that the types reject; the column length if none."""
+    *numbers, dummies = columns
+    faults = [_first_fault(c, f) for f, c in zip(PERIOD_FIELDS, numbers)]
+    return min(*faults, next((i for i, d in enumerate(dummies) if not _is_dummy(d)), len(dummies)))
 
 
 @dataclass(frozen=True)
@@ -46,15 +93,10 @@ class TechnologyProfile:
     disruptive: int = 0
 
     def __post_init__(self) -> None:
-        _finite("alpha", self.alpha)
-        if self.alpha <= 0:
-            raise DomainError(f"alpha must be > 0, got {self.alpha}")
-        _finite("beta", self.beta)
-        if self.beta < 1:
-            raise DomainError(f"beta must be >= 1, got {self.beta}")
-        d = self.disruptive
-        if not (type(d) is int and d in (0, 1)):
-            raise DomainError(f"disruptive must be the dummy 0 or 1, got {d!r}")
+        _check("alpha", self.alpha)
+        _check("beta", self.beta)
+        if not _is_dummy(self.disruptive):
+            raise DomainError(f"disruptive must be the dummy 0 or 1, got {self.disruptive!r}")
 
     @property
     def exponent(self) -> float:
@@ -71,31 +113,55 @@ class PeriodSpec:
     technology: TechnologyProfile
 
     def __post_init__(self) -> None:
-        _finite("vulnerability", self.vulnerability)
-        if not (0.0 <= self.vulnerability <= 1.0):
-            raise DomainError(
-                f"vulnerability must lie in [0, 1], got {self.vulnerability}"
-            )
-        _finite("loss", self.loss)
-        if self.loss < 0.0:
-            raise DomainError(f"loss must be >= 0, got {self.loss}")
+        _check("vulnerability", self.vulnerability)
+        _check("loss", self.loss)
+
+
+def columns_of(periods: Iterable[PeriodSpec]) -> tuple[tuple, ...]:
+    """The values of ``periods`` as one tuple per field of ``PERIOD_FIELDS``."""
+    return tuple(zip(*(
+        (p.vulnerability, p.loss, p.technology.alpha, p.technology.beta, p.technology.disruptive)
+        for p in periods
+    )))
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """An ordered, nonempty sequence of periods; the unit of optimization."""
+    """An ordered, nonempty sequence of periods; the unit of optimization.
+
+    It is held as ``columns``, one tuple of values per field of
+    ``PERIOD_FIELDS``; its float arrays ``batch`` and, for a parsed file, its
+    ``periods`` are built from them when first read.
+    """
 
     label: str
-    periods: tuple[PeriodSpec, ...]
+    columns: tuple[tuple, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "periods", tuple(self.periods))
-        if len(self.periods) == 0:
+    def __init__(self, label: str, periods: Iterable[PeriodSpec]) -> None:
+        periods = tuple(periods)
+        if not periods:
             raise DomainError("a scenario needs at least one period")
+        self.__dict__.update(label=label, columns=columns_of(periods), periods=periods)
+
+    @classmethod
+    def of_columns(cls, label: str, columns: tuple[tuple, ...]) -> "Scenario":
+        """A scenario of nonempty columns in which ``first_invalid`` finds no fault."""
+        scenario = cls.__new__(cls)
+        scenario.__dict__.update(label=label, columns=columns)
+        return scenario
+
+    @cached_property
+    def periods(self) -> tuple[PeriodSpec, ...]:
+        rows = zip(*self.columns)
+        return tuple(PeriodSpec(v, loss, TechnologyProfile(*tech)) for v, loss, *tech in rows)
+
+    @cached_property
+    def batch(self) -> "PeriodBatch":
+        return PeriodBatch.of(self.columns)
 
     @property
     def horizon(self) -> int:
-        return len(self.periods)
+        return len(self.columns[0])
 
 
 @dataclass(frozen=True)
@@ -106,11 +172,10 @@ class InvestmentPlan:
 
     def __post_init__(self) -> None:
         amounts = tuple(self.amounts)
-        for i, a in enumerate(amounts):
-            _finite(f"amounts[{i}]", a)
-            if a < 0.0:
-                raise DomainError(f"amounts[{i}] must be >= 0, got {a}")
-        object.__setattr__(self, "amounts", tuple(float(a) for a in amounts))
+        i = _first_fault(amounts, "loss")  # nonnegative, as a loss is
+        if i < len(amounts):
+            _check(f"amounts[{i}]", amounts[i], "loss")
+        object.__setattr__(self, "amounts", tuple(map(float, amounts)))
 
     @property
     def total(self) -> float:
@@ -134,14 +199,15 @@ class PeriodBatch(NamedTuple):
     loss: ArrayLike
 
     @classmethod
-    def of(cls, periods: Sequence[PeriodSpec]) -> "PeriodBatch":
-        """Float arrays from already validated periods."""
-        techs = [p.technology for p in periods]
+    def of(cls, columns: Sequence[Sequence]) -> "PeriodBatch":
+        """Float arrays from valid columns, one per field of ``PERIOD_FIELDS``;
+        beta + d is summed before rounding, as ``TechnologyProfile.exponent`` is."""
+        v, loss, alpha, beta, d = columns
         return cls(
-            np.array([t.alpha for t in techs], dtype=float),
-            np.array([t.exponent for t in techs], dtype=float),
-            np.array([p.vulnerability for p in periods], dtype=float),
-            np.array([p.loss for p in periods], dtype=float),
+            np.array(alpha, dtype=float),
+            np.array(list(map(operator.add, beta, d)), dtype=float),
+            np.array(v, dtype=float),
+            np.array(loss, dtype=float),
         )
 
     @classmethod
@@ -227,7 +293,7 @@ def enbis_eval(plan: InvestmentPlan, scenario: Scenario) -> float:
             f"{scenario.label!r} has {scenario.horizon} periods"
         )
     z = np.array(plan.amounts, dtype=float)
-    terms = ebis(z, PeriodBatch.of(scenario.periods))
+    terms = ebis(z, scenario.batch)
     terms -= z
     return net_total(terms, scenario.label)
 

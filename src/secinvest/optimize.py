@@ -20,6 +20,7 @@ from .model import (
     PeriodSpec,
     Scenario,
     breach,
+    columns_of,
     ebis,
     ebis_eval,
     net_total,
@@ -77,7 +78,7 @@ def _map(fn, values: np.ndarray) -> np.ndarray:
 
 def closed_form_optimum(period: PeriodSpec) -> float:
     """Optimal investment of one period: the one-period view of ``z_star``."""
-    return float(z_star(PeriodBatch.of((period,)))[0])
+    return float(z_star(PeriodBatch.of(columns_of((period,))))[0])
 
 
 def golden_section_optimum(period: PeriodSpec, z_max: float, tol: float) -> float:
@@ -121,7 +122,10 @@ def grid_oracle(period: PeriodSpec, z_max: float, steps: int) -> float:
         raise DomainError(f"z_max must be finite and >= 0, got {z_max}")
     if steps < 1:
         raise DomainError(f"steps must be >= 1, got {steps}")
-    z = np.linspace(0.0, float(z_max), int(steps) + 1)
+    # as in scenario_io._z_grid, near the float maximum linspace's last step
+    # * index may overflow; it then sets that last point to z_max itself
+    with np.errstate(over="ignore"):
+        z = np.linspace(0.0, float(z_max), int(steps) + 1)
     values = ebis(z, PeriodBatch.one(period))
     values -= z
     return float(z[int(np.argmax(values))])
@@ -142,12 +146,12 @@ def _optima(batch: PeriodBatch) -> tuple[np.recarray, np.ndarray]:
 def optimize_period(period: PeriodSpec) -> np.record:
     """Optimal investment for one period via the closed form: the row of
     ``optimize_scenario``'s ``per_period``."""
-    return _optima(PeriodBatch.of((period,)))[0][0]
+    return _optima(PeriodBatch.of(columns_of((period,))))[0][0]
 
 
 def optimize_scenario(scenario: Scenario) -> OptimizationResult:
     """Optimize each period independently; the multi-period sum separates."""
-    table, net = _optima(PeriodBatch.of(scenario.periods))
+    table, net = _optima(scenario.batch)
     return OptimizationResult(
         plan=InvestmentPlan(tuple(table.z_star.tolist())),
         enbis_total=net_total(net, scenario.label),

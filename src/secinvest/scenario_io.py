@@ -1,7 +1,8 @@
 """Scenario file parsing and deterministic CSV / SVG emission.
 
 Scenario files are strict JSON: unknown fields are rejected, and the
-domain types' own checks run at parse time with field-addressed messages.
+domain types' rules check the periods column by column at parse time, with
+the types' own field-addressed messages.
 CSV output uses fixed 6-digit decimals and LF line endings so golden
 files stay byte-stable.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import replace
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -18,15 +20,17 @@ import numpy as np
 from .errors import DomainError, ParseError
 from .model import (
     MAX_GRID,
+    PERIOD_FIELDS,
     PeriodSpec,
     Scenario,
     TechnologyProfile,
     ebis_eval,
     ebis_mix_curve,
+    first_invalid,
 )
 from .optimize import closed_form_optimum
 
-_PERIOD_FIELDS = ("vulnerability", "loss", "alpha", "beta", "disruptive")
+_FIELD_SET = set(PERIOD_FIELDS)
 # rows per % in fmt_rows: at 4096 the peak RSS of a 20736-row sweep rose by 5%
 _CHUNK_ROWS = 1024
 
@@ -51,8 +55,10 @@ def fmt_rows(row: str, columns: Sequence) -> Iterator[str]:
 
 
 def parse_scenario(document: str) -> Scenario:
-    """Parse a scenario JSON document; the domain types validate each period
-    and their errors come back addressed to the offending field."""
+    """Parse a scenario JSON document into the columns of its periods. The
+    domain types' rules check each column as a whole; the first faulty entry
+    is then rebuilt through the types, so its error is theirs, addressed to
+    the offending field."""
     try:
         data = json.loads(document)
     except json.JSONDecodeError as exc:
@@ -72,26 +78,38 @@ def parse_scenario(document: str) -> Scenario:
         raise ParseError("label must be present and a string")
     if "periods" not in data or not isinstance(data["periods"], list):
         raise ParseError("periods must be present and a list")
-    if not data["periods"]:
+    entries = data["periods"]
+    if not entries:
         raise ParseError("periods must contain at least one entry")
+    # the entries ahead of the first that is not an object with exactly the fields
+    shaped = next(
+        (i for i, entry in enumerate(entries)
+         if not (isinstance(entry, dict) and entry.keys() == _FIELD_SET)),
+        len(entries),
+    )
+    columns = tuple(tuple(map(itemgetter(f), entries[:shaped])) for f in PERIOD_FIELDS)
+    bad = min(first_invalid(columns), shaped)
+    if bad < len(entries):
+        _parse_period(bad, entries[bad])  # raises that entry's error
+    return Scenario.of_columns(data["label"], columns)
 
-    periods = []
-    for i, entry in enumerate(data["periods"]):
-        where = f"periods[{i}]"
-        if not isinstance(entry, dict):
-            raise ParseError(f"{where} must be an object")
-        unknown = set(entry) - set(_PERIOD_FIELDS)
-        if unknown:
-            raise ParseError(f"{where} has unknown fields: {sorted(unknown)}")
-        missing = set(_PERIOD_FIELDS) - set(entry)
-        if missing:
-            raise ParseError(f"{where} is missing fields: {sorted(missing)}")
-        try:
-            tech = TechnologyProfile(entry["alpha"], entry["beta"], entry["disruptive"])
-            periods.append(PeriodSpec(entry["vulnerability"], entry["loss"], tech))
-        except DomainError as exc:
-            raise ParseError(f"{where}.{exc}") from exc
-    return Scenario(label=data["label"], periods=tuple(periods))
+
+def _parse_period(i: int, entry) -> PeriodSpec:
+    """Entry ``i`` of a document's periods, built through the domain types."""
+    where = f"periods[{i}]"
+    if not isinstance(entry, dict):
+        raise ParseError(f"{where} must be an object")
+    unknown = set(entry) - _FIELD_SET
+    if unknown:
+        raise ParseError(f"{where} has unknown fields: {sorted(unknown)}")
+    missing = _FIELD_SET - set(entry)
+    if missing:
+        raise ParseError(f"{where} is missing fields: {sorted(missing)}")
+    try:
+        tech = TechnologyProfile(entry["alpha"], entry["beta"], entry["disruptive"])
+        return PeriodSpec(entry["vulnerability"], entry["loss"], tech)
+    except DomainError as exc:
+        raise ParseError(f"{where}.{exc}") from exc
 
 
 def scenario_to_json(scenario: Scenario) -> str:
@@ -99,16 +117,7 @@ def scenario_to_json(scenario: Scenario) -> str:
     return json.dumps(
         {
             "label": scenario.label,
-            "periods": [
-                {
-                    "vulnerability": p.vulnerability,
-                    "loss": p.loss,
-                    "alpha": p.technology.alpha,
-                    "beta": p.technology.beta,
-                    "disruptive": p.technology.disruptive,
-                }
-                for p in scenario.periods
-            ],
+            "periods": [dict(zip(PERIOD_FIELDS, row)) for row in zip(*scenario.columns)],
         },
         indent=2,
     )

@@ -9,7 +9,13 @@ from pathlib import Path
 import pytest
 
 import secinvest
-from secinvest import optimize_scenario, optimum_shift_sweep, parse_scenario, run_cli
+from secinvest import (
+    PeriodSpec,
+    optimize_scenario,
+    optimum_shift_sweep,
+    parse_scenario,
+    run_cli,
+)
 from secinvest.scenario_io import fmt
 
 ONE_PERIOD_VL10 = {
@@ -165,6 +171,19 @@ def test_svg_written(tmp_path, capsys):
     )
     capsys.readouterr()
     assert svg.read_text().startswith("<svg")
+
+
+@pytest.mark.parametrize("command", ["curve", "mix-curve"])
+def test_svg_to_an_unwritable_path_exits_1(command, tmp_path, capsys):
+    svg = tmp_path / "missing" / "x.svg"
+    argv = [command, "--vulnerability", "0.5", "--loss", "100", "--alpha", "1",
+            "--beta", "1", "--steps", "4", "--svg", str(svg)]
+    if command == "mix-curve":
+        argv += ["--switch-index", "2"]
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write SVG file {svg}: ")
+    assert "Traceback" not in err
 
 
 def test_mix_curve_switch(capsys):
@@ -389,3 +408,31 @@ def test_optimize_rows_equal_per_record_fmt(scenario_file, capsys):
         "method=closed_form"
         for i, r in enumerate(result.per_period, start=1)
     ]
+
+
+def test_optimize_and_delta_z_build_no_period_objects(scenario_file, capsys, monkeypatch):
+    rng = random.Random(5)
+    payload = {
+        "label": "fifty",
+        "periods": [
+            {"vulnerability": rng.random(), "loss": rng.uniform(0.0, 1e4),
+             "alpha": rng.uniform(0.01, 10.0), "beta": rng.choice([1, rng.uniform(1.0, 5.0)]),
+             "disruptive": rng.randint(0, 1)}
+            for _ in range(50)
+        ],
+    }
+    path = scenario_file("fifty.json", payload)
+    built = []
+    post_init = PeriodSpec.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(PeriodSpec, "__post_init__", counted)
+    assert run_cli(["optimize", path]) == 0
+    assert run_cli(["delta-z", path, path, "--optimize"]) == 0
+    assert run_cli(["delta-z", path, path, "--strict", "--plan-a", "1," * 49 + "1"]) == 0
+    assert built == []
+    # the count is live: asking for the periods builds each one
+    assert len(parse_scenario(json.dumps(payload)).periods) == len(built) == 50

@@ -259,6 +259,22 @@ class TestFiniteInputs:
             TechnologyProfile(alpha=1.0, beta=0.5)
         assert str(info.value) == "beta must be >= 1, got 0.5"
 
+    @pytest.mark.parametrize(
+        "amounts, message",
+        [
+            ((1.0, 2.0, -0.5, math.nan), "amounts[2] must be >= 0, got -0.5"),
+            ((1.0, math.inf, -1.0), "amounts[1] must be a finite number, got inf"),
+            ((0, 1, True), "amounts[2] must be a finite number, got True"),
+            ((0.5, "1", -1.0), "amounts[1] must be a finite number, got '1'"),
+            ((0.5, -(10**400)), f"amounts[1] must be a finite number, got {-(10**400)}"),
+            ((np.float64(0.5), np.float64(-2.0)), "amounts[1] must be >= 0, got -2.0"),
+        ],
+    )
+    def test_plan_reports_the_first_bad_amount(self, amounts, message):
+        with pytest.raises(DomainError) as info:
+            InvestmentPlan(amounts)
+        assert str(info.value) == message
+
     def test_plan_accepts_a_generator(self):
         assert InvestmentPlan(a for a in (1, 2.5)).amounts == (1.0, 2.5)
 

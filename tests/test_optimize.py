@@ -116,6 +116,11 @@ class TestGridOracle:
         best = max(candidates, key=lambda c: ebis_eval(c, p) - c)
         assert z == best
 
+    def test_grid_ending_at_the_largest_float_does_not_warn(self):
+        # linspace's step * index overflows in the last point, which it then
+        # sets to z_max; an overflow warning fails the test
+        assert grid_oracle(period(), z_max=1.7976931348623157e308, steps=3) == 0.0
+
 
     def test_values_equal_the_unfused_expression(self):
         rng = np.random.default_rng(31)

@@ -7,7 +7,8 @@ corner and where alpha*k*v*L overflows), every row of the whole-grid curve
 CSVs equals the one formatted from scalar evaluations, and every invalid
 input (nan, +-inf, bools, 400-digit ints, out-of-range values) fails with a
 ModelError subclass, in the library and through the CLI.
-The array SVG renderer draws what a per-point reference renderer draws.
+The array SVG renderer draws what a per-point reference renderer draws, and
+the columnar scenario parser gives what a per-period reference parser gives.
 """
 
 import contextlib
@@ -43,6 +44,7 @@ from secinvest import (
     render_curve_svg,
     run_cli,
     sbpf_eval,
+    scenario_to_json,
 )
 from secinvest.analysis import SHIFT_TOLERANCE
 from secinvest.scenario_io import fmt
@@ -386,6 +388,96 @@ def test_invalid_period_raises_model_error(bad):
 def test_invalid_plan_raises_model_error(value):
     with pytest.raises(ModelError):
         InvestmentPlan((1.0, value))
+
+
+FIELDS = list(VALID)
+valid_values = {
+    "vulnerability": st.one_of(vulnerabilities, st.sampled_from([0, 1])),
+    "loss": st.one_of(losses, st.integers(0, 10**300)),
+    # beta = 2**53 + 1 with the dummy sums exactly to 2**53 + 2 before rounding
+    "alpha": st.one_of(alphas, st.integers(1, 2**64)),
+    "beta": st.one_of(betas, st.integers(1, 2**64), st.just(2**53 + 1)),
+    "disruptive": dummies,
+}
+not_numbers = st.sampled_from(["0.5", None, [1], {}])
+
+
+@st.composite
+def faulty_entry(draw, entry):
+    """``entry`` with one or two fields out of the domain, or not an object
+    with exactly the period fields."""
+    kind = draw(st.sampled_from(["value", "values", "not-object", "missing", "unknown"]))
+    if kind == "not-object":
+        return draw(st.sampled_from([[], "x", 1, None, [entry]]))
+    entry = dict(entry)
+    if kind == "missing" or kind == "unknown":
+        if kind == "unknown" or draw(st.booleans()):
+            entry["discount"] = 0.9
+        if kind == "missing" or draw(st.booleans()):
+            del entry[draw(st.sampled_from(FIELDS))]
+        return entry
+    for _ in range(1 if kind == "value" else 2):
+        field, value = draw(invalid_fields())
+        entry[field] = draw(st.one_of(st.just(value), not_numbers))
+    return entry
+
+
+@st.composite
+def scenario_documents(draw):
+    """Valid periods (floats and ints), up to three of them made faulty at
+    random indices."""
+    valid = draw(st.lists(st.fixed_dictionaries(valid_values), min_size=1, max_size=8))
+    entries = list(valid)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(entries) - 1))
+        entries[i] = draw(faulty_entry(valid[i]))
+    return json.dumps({"label": "x", "periods": entries})
+
+
+def per_period_parse(document):
+    """The per-period parser that ``parse_scenario`` replaced, for documents
+    whose top level is valid: every entry built through the domain types."""
+    periods = []
+    for i, entry in enumerate(json.loads(document)["periods"]):
+        where = f"periods[{i}]"
+        if not isinstance(entry, dict):
+            raise ParseError(f"{where} must be an object")
+        unknown = set(entry) - set(FIELDS)
+        if unknown:
+            raise ParseError(f"{where} has unknown fields: {sorted(unknown)}")
+        missing = set(FIELDS) - set(entry)
+        if missing:
+            raise ParseError(f"{where} is missing fields: {sorted(missing)}")
+        try:
+            tech = TechnologyProfile(entry["alpha"], entry["beta"], entry["disruptive"])
+            periods.append(PeriodSpec(entry["vulnerability"], entry["loss"], tech))
+        except ModelError as exc:
+            raise ParseError(f"{where}.{exc}") from exc
+    return Scenario("x", tuple(periods))
+
+
+@settings(deadline=None, max_examples=400)
+@given(scenario_documents())
+def test_columnar_parse_equals_the_per_period_parser(document):
+    try:
+        expected = per_period_parse(document)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as info:
+            parse_scenario(document)
+        assert str(info.value) == str(exc)
+        return
+    scenario = parse_scenario(document)
+    assert scenario == expected and scenario.periods == expected.periods
+    assert scenario_to_json(scenario) == scenario_to_json(expected)  # ints stay ints
+    periods = expected.periods
+    reference = [
+        [p.technology.alpha for p in periods],
+        [p.technology.exponent for p in periods],
+        [p.vulnerability for p in periods],
+        [p.loss for p in periods],
+    ]
+    for got, values in zip(scenario.batch, reference):
+        assert got.tobytes() == np.array(values, dtype=float).tobytes()
 
 
 @PROPERTY
