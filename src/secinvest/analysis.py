@@ -135,7 +135,7 @@ def optimum_shift_sweep(
     row per parameter tuple, in the order of ``itertools.product`` of the
     sorted lists, so the output stays deterministic.
     """
-    axes = [sorted(values) for values in (alphas, betas, vulnerabilities, losses)]
+    axes = [list(values) for values in (alphas, betas, vulnerabilities, losses)]
     shape = tuple(map(len, axes))
     count = math.prod(shape)
     if count > MAX_GRID:
@@ -143,7 +143,8 @@ def optimum_shift_sweep(
     table = np.recarray(shape, dtype=_SWEEP_DTYPE)
     if not count:
         return table.reshape(-1)
-    _validate_axes(*axes)
+    _validate_axes(*axes)  # before sorting, which a value that is no number would fail
+    axes = [sorted(values) for values in axes]
     # flattened, the "ij" grid is in the order of itertools.product; each
     # sparse axis broadcasts into its column
     for name, column in zip(_SWEEP_DTYPE.names, np.meshgrid(*axes, indexing="ij", sparse=True)):
@@ -160,7 +161,7 @@ def optimum_shift_sweep(
 
 def _validate_axes(alphas, betas, vulnerabilities, losses) -> None:
     """Check every axis value through the domain types, raising the error of
-    the first invalid tuple in record order."""
+    the first invalid tuple in the order of the axes as given."""
     tech = TechnologyProfile(alphas[0], betas[0], 0)
     for loss in losses:
         PeriodSpec(vulnerabilities[0], loss, tech)

@@ -14,9 +14,10 @@ from typing import Sequence
 
 from .analysis import DEFAULT_DISRUPTION_THRESHOLD, delta_z, optimum_shift_sweep
 from .errors import DomainError, ModelError
-from .model import InvestmentPlan, PeriodSpec, Scenario, TechnologyProfile
+from .model import InvestmentPlan, PeriodSpec, Scenario, TechnologyProfile, ebis_mix_curve
 from .optimize import optimize_scenario
 from .scenario_io import (
+    _curve_columns,
     _z_grid,
     emit_curve_csv,
     emit_mix_csv,
@@ -35,8 +36,8 @@ def _load_scenario(path: str) -> Scenario:
     return parse_scenario(text)
 
 
-def _write_svg(path: str, csv_text: str) -> None:
-    svg = render_curve_svg(csv_text)
+def _write_svg(path: str, z, *columns) -> None:
+    svg = render_curve_svg(z, columns)
     try:
         Path(path).write_text(svg)
     except OSError as exc:
@@ -87,12 +88,10 @@ def _cmd_optimize(args) -> int:
 def _cmd_curve(args) -> int:
     period = _period_from_args(args)
     z_max = args.z_max if args.z_max is not None else args.vulnerability * args.loss
-    csv_text = emit_curve_csv(
-        period, args.z_min, z_max, args.steps, args.include_disrupted
-    )
-    sys.stdout.write(csv_text)
+    sys.stdout.write(emit_curve_csv(period, args.z_min, z_max, args.steps, args.include_disrupted))
     if args.svg:
-        _write_svg(args.svg, csv_text)
+        grid = _z_grid(args.z_min, z_max, args.steps)
+        _write_svg(args.svg, grid, *_curve_columns(period, grid, args.include_disrupted)[1])
     return 0
 
 
@@ -101,10 +100,10 @@ def _cmd_mix_curve(args) -> int:
     period_post = _period_from_args(args, args.alpha_post, args.beta_post, 1)
     z_max = args.z_max if args.z_max is not None else args.vulnerability * args.loss
     grid = _z_grid(args.z_min, z_max, args.steps)
-    csv_text = emit_mix_csv(period_pre, period_post, args.switch_index, grid)
-    sys.stdout.write(csv_text)
+    sys.stdout.write(emit_mix_csv(period_pre, period_post, args.switch_index, grid))
     if args.svg:
-        _write_svg(args.svg, csv_text)
+        mix = ebis_mix_curve(period_pre, period_post, args.switch_index, grid)
+        _write_svg(args.svg, grid, mix)
     return 0
 
 

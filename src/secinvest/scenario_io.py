@@ -135,6 +135,16 @@ def _z_grid(z_min: float, z_max: float, steps: int) -> np.ndarray:
         return np.linspace(float(z_min), float(z_max), int(steps) + 1)
 
 
+def _curve_columns(period: PeriodSpec, grid: np.ndarray, include_disrupted: bool):
+    """The periods of a curve table (the disrupted twin second) and their
+    EBIS and ENBIS columns on ``grid``, in table order."""
+    periods = [period]
+    if include_disrupted:
+        periods.append(replace(period, technology=replace(period.technology, disruptive=1)))
+    curves = [ebis_eval(grid, p) for p in periods]
+    return periods, [column for ebis in curves for column in (ebis, ebis - grid)]
+
+
 def emit_curve_csv(
     period: PeriodSpec,
     z_min: float,
@@ -146,16 +156,11 @@ def emit_curve_csv(
     (dummy raised to 1) counterpart alongside; each curve is one array
     evaluation, and footer rows carry each curve's optimal investment."""
     grid = _z_grid(z_min, z_max, steps)
-    periods = [period]
-    if include_disrupted:
-        periods.append(replace(period, technology=replace(period.technology, disruptive=1)))
-    header, columns, footers = "z", [grid], []
-    for p, name in zip(periods, "0d"):
-        ebis = ebis_eval(grid, p)
-        header += f",ebis_{name},enbis_{name}"
-        columns += [ebis, ebis - grid]
-        footers.append(f"# z_star_{name}={fmt(closed_form_optimum(p))}\n")
-    rows = fmt_rows(",".join(["%.6f"] * len(columns)), columns)
+    periods, columns = _curve_columns(period, grid, include_disrupted)
+    names = "0d"[: len(periods)]
+    header = "z" + "".join(f",ebis_{n},enbis_{n}" for n in names)
+    rows = fmt_rows(",".join(["%.6f"] * (len(columns) + 1)), [grid, *columns])
+    footers = (f"# z_star_{n}={fmt(closed_form_optimum(p))}\n" for p, n in zip(periods, names))
     return "".join([header + "\n", *rows, *footers])
 
 
@@ -169,37 +174,55 @@ def emit_mix_csv(
     row i is labelled ``pre`` when i < switch_index, else ``post``."""
     ebis = ebis_mix_curve(period_pre, period_post, switch_index, z_grid)
     grid = np.asarray(z_grid, dtype=float)
-    branch = ["pre" if i < switch_index else "post" for i in range(grid.size)]
+    pre = min(switch_index, grid.size)
+    branch = ["pre"] * pre + ["post"] * (grid.size - pre)
     rows = fmt_rows("%d,%s,%.6f,%.6f", [range(grid.size), branch, grid, ebis])
     return "".join(["index,branch,z,ebis\n", *rows])
 
 
-def render_curve_svg(csv_text: str, width: int = 640, height: int = 480) -> str:
-    """Polyline rendering of a curve CSV: one polyline per numeric column
-    after the ``z`` column, against ``z``. Columns before ``z`` (the index
-    and branch of a mix CSV) are not drawn.
+def _as_printed(x) -> np.ndarray:
+    """``float(fmt(v))`` for every ``v`` of ``x``, as one array: ``rint(v * 1e6)
+    / 1e6`` (a correctly rounded quotient), except where ``v * 1e6`` lies within
+    its own spacing of a half or beyond 2**52, which are printed and read back.
+    From 2**33 on, a 6-decimal cell reads back as ``v`` itself."""
+    x = np.asarray(x, dtype=float) + 0.0
+    small = np.abs(x) < 2.0**33
+    scaled = np.where(small, x, 0.0) * 1e6  # masked first, so it cannot overflow
+    n = np.rint(scaled)
+    out = np.where(small, n / 1e6, x)
+    near = np.flatnonzero(small & (0.5 - np.abs(scaled - n) <= np.spacing(np.abs(scaled))))
+    if near.size:
+        out[near] = ("%.6f " * near.size % tuple(x[near].tolist())).split()
+    return out
 
-    Convenience output only; correctness is asserted on the CSV.
+
+def render_curve_svg(z: Sequence, columns: Sequence, width: int = 640, height: int = 480) -> str:
+    """One polyline per curve of ``columns`` against the grid ``z``, each
+    value drawn as its CSV cell prints it (``fmt``). Convenience output only;
+    correctness is asserted on the CSV.
     """
-    lines = [line for line in csv_text.splitlines() if line and not line.startswith("#")]
-    first = lines[0].split(",").index("z")
-    xs, *columns = np.array([line.split(",")[first:] for line in lines[1:]], dtype=float).T
+    xs = _as_printed(z)
     # the same operations, in the same order, as a per-point Python expression
     x_lo = xs.min()
     x_span = (xs.max() - x_lo) or 1.0
     margin = 40.0
     px = margin + (xs - x_lo) / x_span * (width - 2 * margin)
-    point_fmt = " ".join(["%.2f,%.2f"] * xs.size)
+    # x coordinates are the same on every polyline: formatted once
+    points = [None] * (2 * xs.size)
+    points[::2] = ("%.2f " * xs.size % tuple(px.tolist())).split()
+    point_fmt = " ".join(["%s,%.2f"] * xs.size)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">'
     ]
     colors = ["#1f77b4", "#2ca02c", "#d62728", "#9467bd"]
-    for i, ys in enumerate(columns):
+    for i, column in enumerate(columns):
+        ys = _as_printed(column)
         y_lo = ys.min()
         y_span = (ys.max() - y_lo) or 1.0
         py = height - margin - (ys - y_lo) / y_span * (height - 2 * margin)
-        pts = point_fmt % tuple(np.column_stack((px, py)).ravel().tolist())
+        points[1::2] = py.tolist()
+        pts = point_fmt % tuple(points)
         parts.append(f'<polyline fill="none" stroke="{colors[i % 4]}" points="{pts}"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -215,6 +215,16 @@ class TestOptimumShiftSweep:
         keys = [(r.alpha, r.beta, r.vulnerability, r.loss) for r in records]
         assert keys == sorted(keys)
 
+    # a non-number is rejected through the types before the axes are sorted
+    @pytest.mark.parametrize("bad", ["a", None])
+    @pytest.mark.parametrize("axis, name", enumerate(["alpha", "beta", "vulnerability", "loss"]))
+    def test_non_number_raises_domain_error(self, axis, name, bad):
+        axes = [[1.0], [1.0], [0.5], [4.0]]
+        axes[axis] = [axes[axis][0], bad]
+        with pytest.raises(DomainError) as info:
+            optimum_shift_sweep(*axes)
+        assert str(info.value) == f"{name} must be a finite number, got {bad!r}"
+
     # an empty axis gives no tuples, whatever the other axes hold
     @pytest.mark.parametrize("axes", [
         ([], [1.0], [0.5], [4.0]),

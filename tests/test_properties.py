@@ -7,8 +7,9 @@ corner and where alpha*k*v*L overflows), every row of the whole-grid curve
 CSVs equals the one formatted from scalar evaluations, and every invalid
 input (nan, +-inf, bools, 400-digit ints, out-of-range values) fails with a
 ModelError subclass, in the library and through the CLI.
-The array SVG renderer draws what a per-point reference renderer draws, and
-the columnar scenario parser gives what a per-period reference parser gives.
+The array SVG renderer draws what a per-point reference renderer draws from
+the CSV of the same floats, in the library and through the CLI, and the
+columnar scenario parser gives what a per-period reference parser gives.
 """
 
 import contextlib
@@ -20,7 +21,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from secinvest import (
@@ -47,7 +48,7 @@ from secinvest import (
     scenario_to_json,
 )
 from secinvest.analysis import SHIFT_TOLERANCE
-from secinvest.scenario_io import fmt
+from secinvest.scenario_io import _as_printed, fmt
 
 PROPERTY = settings(deadline=None, max_examples=150)
 CLI_PROPERTY = settings(deadline=None, max_examples=60)
@@ -338,40 +339,64 @@ def per_point_svg(csv_text, width=640, height=480):
     return "\n".join(parts) + "\n"
 
 
-cells = st.one_of(
-    st.floats(-1e9, 1e9).map(lambda x: f"{x:.6f}"),
-    st.just("-0.000000"),
+def csv_of(z, columns):
+    """The curve CSV that ``fmt`` makes from ``z`` and ``columns``."""
+    header = ",".join(["z", *(f"c{i}" for i in range(len(columns)))])
+    body = [",".join(map(fmt, row)) for row in zip(z, *columns)]
+    return "\n".join([header, *body, "# z_star_0=1.000000"]) + "\n"
+
+
+# raw floats: -1e-9 prints as -0.000000, (k + 0.5) / 1e6 lies next to a
+# half of the sixth decimal, and 1e9-1e12 is where _as_printed falls back
+raw_floats = st.one_of(
+    st.floats(-1e9, 1e9),
+    st.floats(-1e12, 1e12),
+    st.integers(-10**12, 10**12).map(lambda k: (k + 0.5) / 1e6),
+    st.sampled_from([0.0, -0.0, -1e-9, 1e-9, 5e-7, -5e-7]),
 )
 
 
 @st.composite
 def svg_column(draw, extent, rows):
-    """``rows`` CSV cells: arbitrary ones, one repeated cell (span 1.0), or
-    0, ``extent`` and values k/100 + 0.005, which put the plotted
-    coordinate next to a rounding boundary of ``%.2f``."""
-    kind = draw(st.sampled_from(["cells", "constant", "boundary"]))
-    if kind == "cells":
-        return draw(st.lists(cells, min_size=rows, max_size=rows))
+    """``rows`` floats: arbitrary ones, one repeated value (span 1.0), or 0,
+    ``extent`` and values k/100 + 0.005, which put the plotted coordinate
+    next to a rounding boundary of ``%.2f``."""
+    kind = draw(st.sampled_from(["floats", "constant", "boundary"]))
+    if kind == "floats":
+        return draw(st.lists(raw_floats, min_size=rows, max_size=rows))
     if kind == "constant":
-        return [draw(cells)] * rows
+        return [draw(raw_floats)] * rows
     ks = draw(st.lists(st.integers(0, extent * 100 - 1), min_size=rows - 2, max_size=rows - 2))
-    return ["0.000000", f"{extent}.000000", *(f"{k / 100 + 0.005:.6f}" for k in ks)]
+    return [0.0, float(extent), *(k / 100 + 0.005 for k in ks)]
 
 
 @PROPERTY
-@given(st.integers(1, 4), st.integers(2, 30), st.booleans(), st.data())
-def test_svg_equals_the_per_point_renderer(curves, rows, mix_layout, data):
+@given(st.integers(1, 4), st.integers(2, 30), st.data())
+def test_svg_equals_the_per_point_renderer(curves, rows, data):
     # 560 and 400 are the plot's width and height inside the margins
-    columns = [data.draw(svg_column(extent, rows)) for extent in [560] + [400] * curves]
-    body = [",".join(cells) for cells in zip(*columns)]
-    header = ",".join(["z", *(f"c{i}" for i in range(curves))])
-    csv_text = "\n".join([header, *body, "# z_star_0=1.000000"]) + "\n"
-    expected = per_point_svg(csv_text)
-    if mix_layout:
-        # a mix CSV: index and branch columns ahead of z are not drawn
-        body = [f"{i},pre,{line}" for i, line in enumerate(body)]
-        csv_text = "\n".join([f"index,branch,{header}", *body]) + "\n"
-    assert render_curve_svg(csv_text) == expected
+    z, *columns = [data.draw(svg_column(extent, rows)) for extent in [560] + [400] * curves]
+    expected = per_point_svg(csv_of(z, columns))
+    assert render_curve_svg(np.array(z), [np.array(c) for c in columns]) == expected
+
+
+printed_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),  # up to the largest float
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),  # subnormals
+    st.integers(-2**53, 2**53).map(lambda k: (k + 0.5) / 1e6),
+    st.integers(-2**62, 2**62).map(lambda k: k * 2.0**-27),
+    st.floats(1e9, 1e10) | st.floats(-1e10, -1e9),
+    st.integers(-2**24, 2**24).map(lambda k: 2.0**33 + k * 2.0**-20),
+    st.floats(-1e-6, 0.0) | st.just(-1e-9),
+)
+
+
+@PROPERTY
+@given(st.lists(printed_floats, min_size=1, max_size=40))
+@example([-0.0, -1e-9, 5e-7, -5e-324, 2.0**33, np.nextafter(2.0**33, 0), 1.7976931348623157e308])
+def test_as_printed_is_the_value_its_cell_reads_back(values):
+    expected = np.array([float(fmt(v)) for v in values])
+    # bitwise, so -0.0 (from -1e-9) and 0.0 (from -0.0) count as different
+    assert _as_printed(np.array(values)).view(np.int64).tolist() == expected.view(np.int64).tolist()
 
 
 @PROPERTY
@@ -587,3 +612,23 @@ def test_cli_curve_output_is_finite(v, loss, alpha, beta, steps):
         assert "nan" not in out and "inf" not in out
     else:  # only the default grid [0, v*L] can be empty
         assert v * loss == 0.0 and err.startswith("error: ")
+
+
+def csv_cells_from(csv_text, first):
+    """The curve CSV with the columns ahead of ``first`` dropped."""
+    return "\n".join(",".join(line.split(",")[first:]) for line in csv_text.splitlines()) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["curve", "--include-disrupted"],
+    ["curve", "--include-disrupted", "--loss=0", "--z-max=3"],  # constant EBIS columns
+    *(["mix-curve", "--alpha-post=2", f"--switch-index={i}"] for i in (0, 5, 50)),
+    ["mix-curve", "--switch-index=5", "--loss=0", "--z-max=3"],
+])
+def test_cli_svg_equals_the_per_point_renderer_of_its_csv(tmp_path, argv):
+    svg = tmp_path / "out.svg"
+    code, out, err = run(argv_for(argv[0], PERIOD_FLAGS) + argv[1:] + ["--steps=10", f"--svg={svg}"])
+    assert (code, err) == (0, "")
+    # index and branch, the columns ahead of a mix CSV's z, are not drawn
+    first = 2 if argv[0] == "mix-curve" else 0
+    assert svg.read_text() == per_point_svg(csv_cells_from(out, first))
