@@ -12,6 +12,8 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .analysis import DEFAULT_DISRUPTION_THRESHOLD, delta_z, optimum_shift_sweep
 from .errors import DomainError, ModelError
 from .model import InvestmentPlan, PeriodSpec, Scenario, TechnologyProfile, ebis_mix_curve
@@ -53,7 +55,7 @@ def _parse_values(raw: str, flag: str) -> tuple[float, ...]:
 
 def _plan_from_flag(raw: str | None, flag: str, scenario: Scenario) -> InvestmentPlan:
     """Comma-separated amounts, or all zeros when the flag is absent."""
-    if not raw:
+    if raw is None:
         return InvestmentPlan((0.0,) * scenario.horizon)
     return InvestmentPlan(_parse_values(raw, flag))
 
@@ -79,7 +81,7 @@ def _cmd_optimize(args) -> int:
     print(f"periods={scenario.horizon}")
     sys.stdout.writelines(fmt_rows(
         "period %d: z_star=%.6f breach_probability=%.6f ebis=%.6f enbis=%.6f method=closed_form",
-        [range(1, len(table) + 1), z, table.breach_probability_at_optimum, ebis, ebis - z],
+        [np.arange(1, len(table) + 1), z, table.breach_probability_at_optimum, ebis, ebis - z],
     ))
     print(f"enbis_total={fmt(result.enbis_total)}")
     return 0
@@ -89,7 +91,7 @@ def _cmd_curve(args) -> int:
     period = _period_from_args(args)
     z_max = args.z_max if args.z_max is not None else args.vulnerability * args.loss
     sys.stdout.write(emit_curve_csv(period, args.z_min, z_max, args.steps, args.include_disrupted))
-    if args.svg:
+    if args.svg is not None:
         grid = _z_grid(args.z_min, z_max, args.steps)
         _write_svg(args.svg, grid, *_curve_columns(period, grid, args.include_disrupted)[1])
     return 0
@@ -101,7 +103,7 @@ def _cmd_mix_curve(args) -> int:
     z_max = args.z_max if args.z_max is not None else args.vulnerability * args.loss
     grid = _z_grid(args.z_min, z_max, args.steps)
     sys.stdout.write(emit_mix_csv(period_pre, period_post, args.switch_index, grid))
-    if args.svg:
+    if args.svg is not None:
         mix = ebis_mix_curve(period_pre, period_post, args.switch_index, grid)
         _write_svg(args.svg, grid, mix)
     return 0

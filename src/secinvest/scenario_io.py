@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import replace
 from operator import itemgetter
 from typing import Iterator, Sequence
@@ -31,8 +32,22 @@ from .model import (
 from .optimize import closed_form_optimum
 
 _FIELD_SET = set(PERIOD_FIELDS)
-# rows per % in fmt_rows: at 4096 the peak RSS of a 20736-row sweep rose by 5%
-_CHUNK_ROWS = 1024
+# Cells per block of fmt_rows (4 bytes each). Writing the 12**4-row sweep
+# table peaked (tracemalloc) at 0.37, 0.73 and 1.45 MB with 16384, 32768 and
+# 65536 cells a block, against 0.49 MB with one % per 1024 rows. Cold sweep /
+# optimize calls then peaked at 31.8 / 31.5, 31.9 / 31.9 and 32.6 / 32.4 MB
+# RSS, against 31.8 / 31.0 MB with %. At 32768 both stay below the 32.3 MB of
+# delta-z on the same files, the largest call of the portfolio benchmark.
+_CHUNK_CELLS = 32768
+# fmt_rows writes uint32 cells whose little-endian bytes are text, NUL bytes
+# padding. The 3-digit group g is the cell "\0ddd": _GROUPS[k, 1000 + g] with
+# its leading zeros, _GROUPS[k, g] without them; the last digit stays, except
+# in _GROUPS[1, 0], the empty cell of a zero group above the units.
+_GROUPS = np.zeros((2, 2, 10, 10, 10, 4), np.uint8)  # k, padded, the 3 digits, byte
+_DIGITS = np.frombuffer(b"0123456789", np.uint8)
+_GROUPS[..., 1], _GROUPS[..., 2], _GROUPS[..., 3] = _DIGITS[:, None, None], _DIGITS[:, None], _DIGITS
+_GROUPS[:, 0, 0, :, :, 1] = _GROUPS[:, 0, 0, 0, :, 2] = _GROUPS[1, 0, 0, 0, 0, 3] = 0
+_GROUPS = _GROUPS.view("<u4").reshape(2, 2000)
 
 
 def fmt(x: float) -> str:
@@ -40,18 +55,76 @@ def fmt(x: float) -> str:
     return f"{x + 0.0:.6f}"
 
 
-def fmt_rows(row: str, columns: Sequence) -> Iterator[str]:
-    """Lines of the %-format ``row`` over ``columns``, one ``%`` per block of
-    ``_CHUNK_ROWS`` lines. Float ndarray columns get ``fmt``'s -0.0
-    normalization; other columns (indices, labels) are used as they are."""
-    for start in range(0, len(columns[0]), _CHUNK_ROWS):
-        block = [column[start : start + _CHUNK_ROWS] for column in columns]
-        values = [None] * (len(block[0]) * len(block))
-        for j, part in enumerate(block):
-            if isinstance(part, np.ndarray):
-                part = (part + 0.0 if part.dtype.kind == "f" else part).tolist()
-            values[j :: len(block)] = part
-        yield (row + "\n") * len(block[0]) % tuple(values)
+def _rounded(x: np.ndarray, digits: int):
+    """``rint(|x| * 10**digits)`` as integers, and where it is the integer that
+    ``%.{digits}f`` prints: where the product lies further than
+    ``product * 2**-52`` (more than its rounding error) from a half, so the
+    exact ``|x| * 10**digits`` rounds to the same integer. That fails from
+    ``2**52`` on, and for nan and inf, which are capped first."""
+    scaled = np.fmin(np.abs(x), 2.0**53 / 10**digits) * 10.0**digits
+    n = np.rint(scaled)
+    return n.astype(np.int64), np.abs(scaled - n) < 0.5 - scaled * 2.0**-52
+
+
+def _cells(values: np.ndarray, conversion: bytes):
+    """The cells of a (rows, m) block of values under one ``.Nf``, ``d`` or
+    ``s`` conversion, as a (rows, m, cells) array, and where they print
+    their row exactly. Float values are normalized in place."""
+    if conversion == b"s":  # a str array holds one UCS-4 code per character
+        codes = values.view("<u4").reshape(*values.shape, -1)
+        return codes, ~(codes > 127).any(axis=(1, 2))
+    values += 0.0  # fmt's -0.0 normalization, for the rows that % prints
+    digits = int(conversion[1:-1] or 0)
+    n, ok = _rounded(values, digits)
+    n = n * 10 ** (-digits % 3)  # a whole number of 3-digit fraction groups
+    fraction = -(-digits // 3)
+    cells = []
+    for k in range(fraction + (len(str(n.max() // 1000**fraction)) + 2) // 3):  # lowest first
+        higher = n // 1000
+        g = n - higher * 1000
+        np.add(g, 1000, out=g, where=(higher > 0) | (k < fraction))  # padded unless leading
+        cells.insert(0, _GROUPS[int(k > fraction), g])
+        n = higher
+    np.bitwise_or(cells[0], 45, out=cells[0], where=values < 0)  # "-" in the spare byte
+    if fraction:  # "." in the top fraction group's spare byte; the appended zeros cut
+        cells[-fraction] |= 46
+        cells[-1] &= 0xFFFFFFFF >> 8 * (-digits % 3)
+    return np.stack(cells, axis=-1), ok.all(axis=-1)
+
+
+def fmt_rows(row: str, columns: Sequence, end: str = "\n") -> Iterator[str]:
+    """The text of ``row % values + end`` for the values of each row of
+    ``columns``, in blocks of about ``_CHUNK_CELLS`` cells. ``row``'s
+    conversions are ``%.Nf``, ``%d`` (read as floats) and ``%s``; floats
+    get ``fmt``'s -0.0 normalization. A block is one table of cells that
+    numpy fills, each conversion's columns at once. A row holding a value
+    that the cells cannot print exactly (see ``_rounded``; a non-ASCII
+    label) is printed by ``%``. No text or label may hold a NUL character."""
+    line = row + end
+    parts = re.split(rb"%(\.\d+f|d|s)", line.encode())
+    literals = [np.frombuffer(text + bytes(-len(text) % 4), "<u4") for text in parts[::2]]
+    # rows per block: about _CHUNK_CELLS cells, at 4 cells a value
+    rows = max(1, _CHUNK_CELLS // (sum(map(len, literals)) + 4 * len(columns)))
+    literals = [np.tile(literal, (rows, 1)) for literal in literals]
+    conversions = parts[1::2]
+    # column j is column slots[j][1] of its conversion's block
+    slots = [(c, conversions[:j].count(c)) for j, c in enumerate(conversions)]
+    for start in range(0, len(columns[0]), rows):
+        values, cells, exact = {}, {}, True
+        for c in dict.fromkeys(conversions):
+            values[c] = np.stack([np.asarray(column[start : start + rows], str if c == b"s" else float)
+                                  for column, cj in zip(columns, conversions) if cj == c], axis=1)
+            cells[c], ok = _cells(values[c], c)
+            exact = exact & ok
+        pieces = [literals[0][: len(exact)]]
+        for (c, k), literal in zip(slots, literals[1:]):
+            pieces += [cells[c][:, k], literal[: len(exact)]]
+        table = np.hstack(pieces)
+        text, done = [], 0
+        for i in np.flatnonzero(~exact).tolist():
+            text += [table[done:i].tobytes(), (line % tuple(values[c][i, k] for c, k in slots)).encode()]
+            done = i + 1
+        yield b"".join([*text, table[done:].tobytes()]).translate(None, b"\0").decode()
 
 
 def parse_scenario(document: str) -> Scenario:
@@ -174,25 +247,22 @@ def emit_mix_csv(
     row i is labelled ``pre`` when i < switch_index, else ``post``."""
     ebis = ebis_mix_curve(period_pre, period_post, switch_index, z_grid)
     grid = np.asarray(z_grid, dtype=float)
-    pre = min(switch_index, grid.size)
-    branch = ["pre"] * pre + ["post"] * (grid.size - pre)
-    rows = fmt_rows("%d,%s,%.6f,%.6f", [range(grid.size), branch, grid, ebis])
+    index = np.arange(grid.size)
+    branch = np.where(index < switch_index, "pre", "post")
+    rows = fmt_rows("%d,%s,%.6f,%.6f", [index, branch, grid, ebis])
     return "".join(["index,branch,z,ebis\n", *rows])
 
 
 def _as_printed(x) -> np.ndarray:
-    """``float(fmt(v))`` for every ``v`` of ``x``, as one array: ``rint(v * 1e6)
-    / 1e6`` (a correctly rounded quotient), except where ``v * 1e6`` lies within
-    its own spacing of a half or beyond 2**52, which are printed and read back.
-    From 2**33 on, a 6-decimal cell reads back as ``v`` itself."""
+    """``float(fmt(v))`` for every ``v`` of ``x``, as one array: ``n / 1e6``
+    (a correctly rounded quotient) where ``_rounded`` gives the printed ``n``,
+    and the printed cell read back elsewhere."""
     x = np.asarray(x, dtype=float) + 0.0
-    small = np.abs(x) < 2.0**33
-    scaled = np.where(small, x, 0.0) * 1e6  # masked first, so it cannot overflow
-    n = np.rint(scaled)
-    out = np.where(small, n / 1e6, x)
-    near = np.flatnonzero(small & (0.5 - np.abs(scaled - n) <= np.spacing(np.abs(scaled))))
-    if near.size:
-        out[near] = ("%.6f " * near.size % tuple(x[near].tolist())).split()
+    n, exact = _rounded(x, 6)
+    out = np.copysign(n, x) / 1e6
+    rest = np.flatnonzero(~exact)
+    if rest.size:
+        out[rest] = ("%.6f " * rest.size % tuple(x[rest].tolist())).split()
     return out
 
 
@@ -201,28 +271,18 @@ def render_curve_svg(z: Sequence, columns: Sequence, width: int = 640, height: i
     value drawn as its CSV cell prints it (``fmt``). Convenience output only;
     correctness is asserted on the CSV.
     """
-    xs = _as_printed(z)
-    # the same operations, in the same order, as a per-point Python expression
-    x_lo = xs.min()
-    x_span = (xs.max() - x_lo) or 1.0
     margin = 40.0
-    px = margin + (xs - x_lo) / x_span * (width - 2 * margin)
-    # x coordinates are the same on every polyline: formatted once
-    points = [None] * (2 * xs.size)
-    points[::2] = ("%.2f " * xs.size % tuple(px.tolist())).split()
-    point_fmt = " ".join(["%s,%.2f"] * xs.size)
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">'
-    ]
+
+    def scaled(values, size):  # the same operations, in the same order, as per point
+        values = _as_printed(values)
+        return (values - values.min()) / ((values.max() - values.min()) or 1.0) * (size - 2 * margin)
+
+    px = margin + scaled(z, width)
     colors = ["#1f77b4", "#2ca02c", "#d62728", "#9467bd"]
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+             f'height="{height}" viewBox="0 0 {width} {height}">']
     for i, column in enumerate(columns):
-        ys = _as_printed(column)
-        y_lo = ys.min()
-        y_span = (ys.max() - y_lo) or 1.0
-        py = height - margin - (ys - y_lo) / y_span * (height - 2 * margin)
-        points[1::2] = py.tolist()
-        pts = point_fmt % tuple(points)
+        py = height - margin - scaled(column, height)
+        pts = "".join(fmt_rows("%.2f,%.2f", [px, py], " "))[:-1]
         parts.append(f'<polyline fill="none" stroke="{colors[i % 4]}" points="{pts}"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return "\n".join(parts + ["</svg>"]) + "\n"

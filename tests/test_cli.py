@@ -16,7 +16,7 @@ from secinvest import (
     parse_scenario,
     run_cli,
 )
-from secinvest.scenario_io import fmt
+from secinvest.scenario_io import fmt, fmt_rows
 
 ONE_PERIOD_VL10 = {
     "label": "one-period-vl10",
@@ -186,6 +186,19 @@ def test_svg_to_an_unwritable_path_exits_1(command, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["curve", "mix-curve"])
+def test_empty_svg_path_exits_1(command, capsys):
+    # an empty value is a path given, not an absent flag: it names no file
+    argv = [command, "--vulnerability", "0.5", "--loss", "100", "--alpha", "1",
+            "--beta", "1", "--steps", "4", "--svg", ""]
+    if command == "mix-curve":
+        argv += ["--switch-index", "2"]
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write SVG file : ")
+    assert "Traceback" not in err
+
+
 def test_mix_curve_switch(capsys):
     assert (
         run_cli(
@@ -241,6 +254,16 @@ def test_delta_z_non_finite_flags_exit_1(flags, scenario_file, capsys):
     path = scenario_file("a.json", ONE_PERIOD_VL10)
     assert run_cli(["delta-z", path, path, *flags]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("flag", ["--plan-a", "--plan-b"])
+def test_delta_z_empty_plan_exits_1(flag, scenario_file, capsys):
+    # an empty plan is a plan given, not all zeros
+    path = scenario_file("a.json", ONE_PERIOD_VL10)
+    assert run_cli(["delta-z", path, path, flag, ""]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: invalid value list for {flag}: ''\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(
@@ -313,6 +336,22 @@ def test_sweep_beyond_the_limit_exits_1_before_allocating(capsys):
     assert captured.out == ""
     # the table alone would take 68 bytes per tuple
     assert peak < 10**6
+
+
+def test_writing_a_sweep_table_peaks_below_the_table_itself():
+    # 12**4 tuples, the size of the benchmark's portfolio sweep
+    axis = [1.0 + i / 4 for i in range(12)]
+    table = optimum_shift_sweep(axis, axis, [i / 12 for i in range(12)], [1.0 + 3 * i for i in range(12)])
+    columns = [table[name] for name in table.dtype.names]
+    tracemalloc.start()
+    try:
+        size = sum(map(len, fmt_rows("%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,%s", columns)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size > 20736 * 50
+    # written block by block: about 0.7 MB at 32768 cells a block, 1.4 MB at 65536
+    assert peak < table.nbytes
 
 
 @pytest.mark.parametrize("opening, closing", [("[", "]"), ('{"a":', "}")])

@@ -8,8 +8,9 @@ CSVs equals the one formatted from scalar evaluations, and every invalid
 input (nan, +-inf, bools, 400-digit ints, out-of-range values) fails with a
 ModelError subclass, in the library and through the CLI.
 The array SVG renderer draws what a per-point reference renderer draws from
-the CSV of the same floats, in the library and through the CLI, and the
-columnar scenario parser gives what a per-period reference parser gives.
+the CSV of the same floats, in the library and through the CLI, the table
+writer's lines are those of Python's ``%``, and the columnar scenario parser
+gives what a per-period reference parser gives.
 """
 
 import contextlib
@@ -48,7 +49,7 @@ from secinvest import (
     scenario_to_json,
 )
 from secinvest.analysis import SHIFT_TOLERANCE
-from secinvest.scenario_io import _as_printed, fmt
+from secinvest.scenario_io import _as_printed, fmt, fmt_rows
 
 PROPERTY = settings(deadline=None, max_examples=150)
 CLI_PROPERTY = settings(deadline=None, max_examples=60)
@@ -397,6 +398,47 @@ def test_as_printed_is_the_value_its_cell_reads_back(values):
     expected = np.array([float(fmt(v)) for v in values])
     # bitwise, so -0.0 (from -1e-9) and 0.0 (from -0.0) count as different
     assert _as_printed(np.array(values)).view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+
+def cycled(values, rows, shift):
+    """``values`` repeated to ``rows`` entries, from entry ``shift`` on."""
+    return [values[(i + shift) % len(values)] for i in range(rows)]
+
+
+# no NUL: a label may not hold one (see fmt_rows)
+labels = st.text(st.characters(exclude_characters="\0"), max_size=6)
+EDGE_FLOATS = [-0.0, -1e-9, 2.0**33, np.nextafter(2.0**33, 0), 123456.5 / 1e6, 1.7976931348623157e308]
+ROW = "[%d] %s|%.6f,%.2f;"
+# the rows of one fmt_rows block of ROW
+BLOCK = next(fmt_rows(ROW, [range(10**5), ["x"] * 10**5, [0.0] * 10**5, [0.0] * 10**5])).count("\n")
+
+
+@PROPERTY
+@given(
+    st.sampled_from([-1, 0, 1]),
+    st.lists(printed_floats, min_size=1, max_size=40),
+    st.lists(printed_floats, min_size=1, max_size=40),
+    st.lists(labels, min_size=1, max_size=5),
+    st.tuples(*[st.integers(0, 2 * BLOCK)] * 3),
+)
+@example(1, EDGE_FLOATS, EDGE_FLOATS[::-1], ["pre", "post", "é"], (0, 3, 1))
+def test_fmt_rows_lines_are_the_row_format(extra, sixes, twos, names, shifts):
+    # one row short of a block, a block, and one row over; each column starts
+    # its cycle at its own shift, so every value can sit at a block's edge
+    rows = BLOCK + extra
+    columns = [
+        range(rows),
+        cycled(names, rows, shifts[0]),
+        np.array(cycled(sixes, rows, shifts[1])),
+        cycled(twos, rows, shifts[2]),
+    ]
+    # fmt's -0.0 normalization, as the writer applies it to every float
+    text, at = "".join(fmt_rows(ROW, columns)), 0
+    for i, name, a, b in zip(*columns):  # line by line, so a failure shows one line
+        line = ROW % (i, name, a + 0.0, b + 0.0) + "\n"
+        assert text[at : at + len(line)] == line
+        at += len(line)
+    assert at == len(text)
 
 
 @PROPERTY
