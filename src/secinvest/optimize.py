@@ -58,11 +58,9 @@ def z_star(batch: PeriodBatch) -> np.ndarray:
     log_interior = _map(_log_above_one, interior)
     over = log_interior == math.inf
     if over.any():
-        # a partial product overflowed, so no factor is zero: sum the logs,
-        # whose total can still put the true product at or below 1
-        log_alpha, log_k, log_v, log_loss = (_map(math.log, x[over]) for x in batch)
-        total = log_alpha + log_k + log_v + log_loss
-        log_interior[over] = np.where(total > 0.0, total, 0.0)
+        # a partial product overflowed, so no factor is zero and the true
+        # product may still lie at or below 1
+        log_interior[over] = [_log_product(*row) for row in zip(*(x[over].tolist() for x in batch))]
     # expm1 keeps full precision as interior -> 1 (the corner); a corner's
     # log is 0, which gives z = 0
     return _map(math.expm1, log_interior / (k + 1.0)) / alpha
@@ -70,6 +68,20 @@ def z_star(batch: PeriodBatch) -> np.ndarray:
 
 def _log_above_one(x: float) -> float:
     return math.log(x) if x > 1.0 else 0.0  # nan (inf * 0) is a corner
+
+
+def _log_product(*factors: float) -> float:
+    """``_log_above_one`` of a product of positive floats whose partial
+    products overflow. The mantissas are multiplied and the exponents added,
+    which rounds as the direct product would; a product beyond the largest
+    float is the sum of the logs."""
+    mantissa, exponent = 1.0, 0
+    for m, e in map(math.frexp, factors):
+        mantissa, exponent = mantissa * m, exponent + e
+    try:
+        return _log_above_one(math.ldexp(mantissa, exponent))
+    except OverflowError:
+        return sum(map(math.log, factors))
 
 
 def _map(fn, values: np.ndarray) -> np.ndarray:

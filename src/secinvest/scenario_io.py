@@ -86,7 +86,7 @@ def _cells(values: np.ndarray, conversion: bytes):
         cells.insert(0, _GROUPS[int(k > fraction), g])
         n = higher
     np.bitwise_or(cells[0], 45, out=cells[0], where=values < 0)  # "-" in the spare byte
-    if fraction:  # "." in the top fraction group's spare byte; the appended zeros cut
+    if fraction:  # "." in the top fraction group's spare byte; the filling zeros cut
         cells[-fraction] |= 46
         cells[-1] &= 0xFFFFFFFF >> 8 * (-digits % 3)
     return np.stack(cells, axis=-1), ok.all(axis=-1)

@@ -246,6 +246,15 @@ class TestClosedFormPrecision:
         assert math.isfinite(z)
         assert z == pytest.approx(float(mp_z_star(p)), rel=1e-12)
 
+    @pytest.mark.parametrize("alpha, k", [(9.994025736157873e307, 2.0), (1.5e308, 3.0), (1.7e308, 2.0)])
+    def test_overflowing_partial_product_keeps_the_product_rounding(self, alpha, k):
+        # alpha*k overflows though alpha*k*v*L is 3; summing the four logs
+        # instead was off by about 6e-14
+        v = math.sqrt(3.0 / alpha / k)
+        p = period(v=v, loss=v, alpha=alpha, beta=k - 1, d=1)
+        exact = mp_z_star(p)
+        assert abs((closed_form_optimum(p) - exact) / exact) <= 1e-14
+
     def test_overflowing_partial_product_at_the_corner(self):
         # alpha*k overflows, yet alpha*k*v*L = 1e310 * 1e-320 is below 1
         p = period(v=1e-300, loss=1e-20, alpha=1e10, beta=1e300)
