@@ -16,7 +16,9 @@ from .model import (
     PeriodSpec,
     Scenario,
     TechnologyProfile,
+    _check,
     enbis_eval,
+    first_invalid,
     sbpf_eval,
 )
 from .optimize import z_star
@@ -81,8 +83,7 @@ def delta_z(
 def classify_disruptive(enbis_a: float, enbis_b: float, threshold: float) -> bool:
     """True when scenario B's net benefit exceeds A's by more than the
     relative threshold (an absolute margin when ENBIS(A) <= 0)."""
-    if not (0 <= threshold < math.inf):
-        raise DomainError(f"threshold must be finite and >= 0, got {threshold}")
+    _check("threshold", threshold, "loss")
     if enbis_a > 0:
         return enbis_b > enbis_a * (1.0 + threshold)
     return enbis_b - enbis_a > threshold * max(1.0, abs(enbis_a))
@@ -117,9 +118,9 @@ def dominance_check(
         raise ContractError(
             "periods must differ only in the disruption flag (baseline 0, disrupted 1)"
         )
-    z = np.asarray(z_grid, dtype=float)
     v = period_baseline.vulnerability
-    return bool(np.all(sbpf_eval(z, v, period_disrupted.technology) <= sbpf_eval(z, v, base_t)))
+    s_0 = sbpf_eval(z_grid, v, base_t)
+    return bool(np.all(sbpf_eval(z_grid, v, period_disrupted.technology) <= s_0))
 
 
 def optimum_shift_sweep(
@@ -143,7 +144,15 @@ def optimum_shift_sweep(
     table = np.recarray(shape, dtype=_SWEEP_DTYPE)
     if not count:
         return table.reshape(-1)
-    _validate_axes(*axes)  # before sorting, which a value that is no number would fail
+    # before sorting (which a value that is no number fails): tuple 0, then each loss, v, beta
+    # and alpha with the other fields at index 0; the first to fail has the first bad tuple's error
+    alpha, beta, v, loss = (values[0] for values in axes)
+    rows = ([(v, x, alpha, beta) for x in axes[3]] + [(x, loss, alpha, beta) for x in axes[2]]
+            + [(v, loss, alpha, x) for x in axes[1]] + [(v, loss, x, beta) for x in axes[0]])
+    bad = first_invalid([*zip(*rows), [0] * len(rows)])
+    if bad < len(rows):
+        v, loss, alpha, beta = rows[bad]
+        PeriodSpec(v, loss, TechnologyProfile(alpha, beta, 0))
     axes = [sorted(values) for values in axes]
     # flattened, the "ij" grid is in the order of itertools.product; each
     # sparse axis broadcasts into its column
@@ -157,17 +166,3 @@ def optimum_shift_sweep(
         [zd < z0 - SHIFT_TOLERANCE, zd > z0 + SHIFT_TOLERANCE], ["left", "right"], "none"
     )
     return table
-
-
-def _validate_axes(alphas, betas, vulnerabilities, losses) -> None:
-    """Check every axis value through the domain types, raising the error of
-    the first invalid tuple in the order of the axes as given."""
-    tech = TechnologyProfile(alphas[0], betas[0], 0)
-    for loss in losses:
-        PeriodSpec(vulnerabilities[0], loss, tech)
-    for v in vulnerabilities:
-        PeriodSpec(v, losses[0], tech)
-    for beta in betas:
-        TechnologyProfile(alphas[0], beta, 0)
-    for alpha in alphas:
-        TechnologyProfile(alpha, betas[0], 0)

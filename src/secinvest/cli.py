@@ -87,12 +87,15 @@ def _cmd_optimize(args) -> int:
     return 0
 
 
+def _grid_args(args) -> tuple:  # --z-max is v*L by default
+    return args.z_min, args.vulnerability * args.loss if args.z_max is None else args.z_max, args.steps
+
+
 def _cmd_curve(args) -> int:
     period = _period_from_args(args)
-    z_max = args.z_max if args.z_max is not None else args.vulnerability * args.loss
-    sys.stdout.write(emit_curve_csv(period, args.z_min, z_max, args.steps, args.include_disrupted))
+    sys.stdout.write(emit_curve_csv(period, *_grid_args(args), args.include_disrupted))
     if args.svg is not None:
-        grid = _z_grid(args.z_min, z_max, args.steps)
+        grid = _z_grid(*_grid_args(args))
         _write_svg(args.svg, grid, *_curve_columns(period, grid, args.include_disrupted)[1])
     return 0
 
@@ -100,8 +103,7 @@ def _cmd_curve(args) -> int:
 def _cmd_mix_curve(args) -> int:
     period_pre = _period_from_args(args)
     period_post = _period_from_args(args, args.alpha_post, args.beta_post, 1)
-    z_max = args.z_max if args.z_max is not None else args.vulnerability * args.loss
-    grid = _z_grid(args.z_min, z_max, args.steps)
+    grid = _z_grid(*_grid_args(args))
     sys.stdout.write(emit_mix_csv(period_pre, period_post, args.switch_index, grid))
     if args.svg is not None:
         mix = ebis_mix_curve(period_pre, period_post, args.switch_index, grid)
@@ -147,11 +149,15 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _add_period_flags(parser: argparse.ArgumentParser) -> None:
+def _add_curve_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--vulnerability", type=float, required=True)
     parser.add_argument("--loss", type=float, required=True)
     parser.add_argument("--alpha", type=float, required=True)
     parser.add_argument("--beta", type=float, required=True)
+    parser.add_argument("--z-min", type=float, default=0.0)
+    parser.add_argument("--z-max", type=float, default=None)
+    parser.add_argument("--steps", type=int, default=1000)
+    parser.add_argument("--svg", default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -166,23 +172,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("curve", help="benefit curves as CSV")
-    _add_period_flags(p)
-    p.add_argument("--z-min", type=float, default=0.0)
-    p.add_argument("--z-max", type=float, default=None)
-    p.add_argument("--steps", type=int, default=1000)
+    _add_curve_flags(p)
     p.add_argument("--include-disrupted", action="store_true")
-    p.add_argument("--svg", default=None)
     p.set_defaults(func=_cmd_curve)
 
     p = sub.add_parser("mix-curve", help="piecewise pre/post-switch curve as CSV")
-    _add_period_flags(p)
+    _add_curve_flags(p)
     p.add_argument("--alpha-post", type=float, default=None)
     p.add_argument("--beta-post", type=float, default=None)
     p.add_argument("--switch-index", type=int, required=True)
-    p.add_argument("--z-min", type=float, default=0.0)
-    p.add_argument("--z-max", type=float, default=None)
-    p.add_argument("--steps", type=int, default=1000)
-    p.add_argument("--svg", default=None)
     p.set_defaults(func=_cmd_mix_curve)
 
     p = sub.add_parser("delta-z", help="compare two equal-duration scenarios")

@@ -10,6 +10,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -23,14 +24,20 @@ ArrayLike = Union[float, np.ndarray]
 MAX_GRID = 10**6
 # the fields of a period, in the order of a scenario's columns
 PERIOD_FIELDS = ("vulnerability", "loss", "alpha", "beta", "disruptive")
-# The domain of each numeric field: a predicate that holds elementwise on a
-# finite float or on a float array, and its text in the error message. The
-# types apply it to one value, parse_scenario and InvestmentPlan to a column.
+# The domain of each numeric field and argument: a predicate that holds on a
+# finite number (elementwise on a float array, for a field) and its text in
+# the error message. The types apply it to one value, parse_scenario and
+# InvestmentPlan to a column. z, z_min, z_max and threshold follow "loss".
 _DOMAIN = {
     "vulnerability": (lambda x: (0.0 <= x) & (x <= 1.0), "must lie in [0, 1]"),
     "loss": (lambda x: x >= 0.0, "must be >= 0"),
     "alpha": (lambda x: x > 0, "must be > 0"),
     "beta": (lambda x: x >= 1, "must be >= 1"),
+    "tol": (lambda x: x > 0, "must be > 0"),
+    # counts; a grid oracle needs one step, a curve grid two
+    "switch_index": (lambda x: isinstance(x, Integral) and x >= 0, "must be an integer >= 0"),
+    "steps": (lambda x: isinstance(x, Integral) and x >= 1, "must be an integer >= 1"),
+    "curve_steps": (lambda x: isinstance(x, Integral) and x >= 2, "must be an integer >= 2"),
 }
 
 
@@ -257,10 +264,12 @@ def _scalar_or_array(z: ArrayLike, out: np.ndarray) -> ArrayLike:
 
 
 def _nonnegative(z: ArrayLike) -> np.ndarray:
-    z_arr = np.asarray(z, dtype=float)
-    if not (z_arr >= 0).all():
-        raise DomainError(f"z must be >= 0, got {z}")
-    return z_arr
+    """``z`` as a float array, once each value passes ``_check`` as a ``z``."""
+    values = np.asarray(z)  # one mask for an int or float array; bool, text or objects per value
+    if values.dtype.kind not in "iuf" or not (np.isfinite(values) & _DOMAIN["loss"][0](values)).all():
+        for value in np.asarray(z, dtype=object).reshape(-1).tolist():
+            _check("z", value, "loss")
+    return values.astype(float, copy=False)
 
 
 def sbpf_eval(z: ArrayLike, v: float, tech: TechnologyProfile) -> ArrayLike:
@@ -270,8 +279,7 @@ def sbpf_eval(z: ArrayLike, v: float, tech: TechnologyProfile) -> ArrayLike:
     elementwise by ``breach``.
     """
     z_arr = _nonnegative(z)
-    if not (0.0 <= v <= 1.0):
-        raise DomainError(f"v must lie in [0, 1], got {v}")
+    _check("v", v, "vulnerability")
     # the loss plays no part in S
     out = breach(z_arr, PeriodBatch(tech.alpha, tech.exponent, v, 0.0))
     return _scalar_or_array(z, out)
@@ -316,9 +324,8 @@ def ebis_mix_curve(
             raise ContractError("pre-switch technology must have disruptive=0")
         if period_post.technology.disruptive != 1:
             raise ContractError("post-switch technology must have disruptive=1")
-    if switch_index < 0:
-        raise DomainError(f"switch_index must be >= 0, got {switch_index}")
-    grid = np.asarray(z_grid, dtype=float)
+    _check("switch_index", switch_index)
+    grid = _nonnegative(z_grid)
     return np.concatenate((
         ebis_eval(grid[:switch_index], period_pre),
         ebis_eval(grid[switch_index:], period_post),

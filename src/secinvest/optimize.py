@@ -13,12 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
 from .model import (
     InvestmentPlan,
     PeriodBatch,
     PeriodSpec,
     Scenario,
+    _check,
     breach,
     columns_of,
     ebis,
@@ -99,10 +99,8 @@ def golden_section_optimum(period: PeriodSpec, z_max: float, tol: float) -> floa
     The class-I objective is concave, hence unimodal on any interval. Stops
     once the bracket is narrower than ``tol``, or at a fixed cap of steps.
     """
-    if not (0 <= z_max < math.inf):
-        raise DomainError(f"z_max must be finite and >= 0, got {z_max}")
-    if not (0 < tol < math.inf):
-        raise DomainError(f"tol must be finite and > 0, got {tol}")
+    _check("z_max", z_max, "loss")
+    _check("tol", tol)
     a, b = 0.0, float(z_max)
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
@@ -124,20 +122,22 @@ def golden_section_optimum(period: PeriodSpec, z_max: float, tol: float) -> floa
     return 0.0 if ebis_eval(0.0, period) >= ebis_eval(mid, period) - mid else mid
 
 
+def _uniform_grid(z_min: float, z_max: float, steps: int) -> np.ndarray:
+    """``steps + 1`` points from ``z_min`` to ``z_max``. Near the float maximum,
+    linspace's last step * index may overflow; it then sets that point to z_max."""
+    with np.errstate(over="ignore"):
+        return np.linspace(float(z_min), float(z_max), int(steps) + 1)
+
+
 def grid_oracle(period: PeriodSpec, z_max: float, steps: int) -> float:
     """Brute-force maximizer over the uniform grid {0, z_max/steps, ..., z_max}.
 
     The net benefit is computed in one buffer besides the grid. Ties break
     toward the smallest z (np.argmax returns the first maximum).
     """
-    if not (0 <= z_max < math.inf):
-        raise DomainError(f"z_max must be finite and >= 0, got {z_max}")
-    if steps < 1:
-        raise DomainError(f"steps must be >= 1, got {steps}")
-    # as in scenario_io._z_grid, near the float maximum linspace's last step
-    # * index may overflow; it then sets that last point to z_max itself
-    with np.errstate(over="ignore"):
-        z = np.linspace(0.0, float(z_max), int(steps) + 1)
+    _check("z_max", z_max, "loss")
+    _check("steps", steps)
+    z = _uniform_grid(0.0, z_max, steps)
     values = ebis(z, PeriodBatch.one(period))
     values -= z
     return float(z[int(np.argmax(values))])

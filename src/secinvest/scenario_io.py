@@ -10,7 +10,6 @@ files stay byte-stable.
 from __future__ import annotations
 
 import json
-import math
 import re
 from dataclasses import replace
 from operator import itemgetter
@@ -25,11 +24,12 @@ from .model import (
     PeriodSpec,
     Scenario,
     TechnologyProfile,
+    _check,
     ebis_eval,
     ebis_mix_curve,
     first_invalid,
 )
-from .optimize import closed_form_optimum
+from .optimize import _uniform_grid, closed_form_optimum
 
 _FIELD_SET = set(PERIOD_FIELDS)
 # Cells per block of fmt_rows (4 bytes each). Writing the 12**4-row sweep
@@ -122,9 +122,11 @@ def fmt_rows(row: str, columns: Sequence, end: str = "\n") -> Iterator[str]:
         table = np.hstack(pieces)
         text, done = [], 0
         for i in np.flatnonzero(~exact).tolist():
-            text += [table[done:i].tobytes(), (line % tuple(values[c][i, k] for c, k in slots)).encode()]
+            row_text = line % tuple(values[c][i, k] for c, k in slots)
+            text += [table[done:i].tobytes(), row_text.encode("utf-8", "surrogatepass")]
             done = i + 1
-        yield b"".join([*text, table[done:].tobytes()]).translate(None, b"\0").decode()
+        block = b"".join([*text, table[done:].tobytes()]).translate(None, b"\0")
+        yield block.decode("utf-8", "surrogatepass")  # a label's lone surrogate, as % kept it
 
 
 def parse_scenario(document: str) -> Scenario:
@@ -197,15 +199,13 @@ def scenario_to_json(scenario: Scenario) -> str:
 
 
 def _z_grid(z_min: float, z_max: float, steps: int) -> np.ndarray:
-    if not (0 <= z_min < z_max < math.inf) or not (2 <= steps <= MAX_GRID):
-        raise DomainError(
-            f"need finite 0 <= z_min < z_max and 2 <= steps <= {MAX_GRID}, got "
-            f"z_min={z_min}, z_max={z_max}, steps={steps}"
-        )
-    # near the float maximum, linspace's last step * index may overflow; it
-    # then sets that last point to z_max itself
-    with np.errstate(over="ignore"):
-        return np.linspace(float(z_min), float(z_max), int(steps) + 1)
+    _check("z_min", z_min, "loss")
+    _check("z_max", z_max, "loss")
+    _check("steps", steps, "curve_steps")
+    if not (z_min < z_max and steps <= MAX_GRID):
+        raise DomainError(f"need z_min < z_max and steps <= {MAX_GRID}, got "
+                          f"z_min={z_min}, z_max={z_max}, steps={steps}")
+    return _uniform_grid(z_min, z_max, steps)
 
 
 def _curve_columns(period: PeriodSpec, grid: np.ndarray, include_disrupted: bool):

@@ -11,9 +11,13 @@ from secinvest import (
     PeriodSpec,
     Scenario,
     TechnologyProfile,
+    classify_disruptive,
     ebis_eval,
     ebis_mix_curve,
+    emit_curve_csv,
     enbis_eval,
+    golden_section_optimum,
+    grid_oracle,
     mix_jump,
     sbpf_eval,
 )
@@ -290,3 +294,28 @@ class TestFiniteInputs:
         big = period(v=1.0, loss=1.7e308)
         with pytest.raises(NumericError, match="overflows"):
             enbis_eval(InvestmentPlan((1e6, 1e6)), Scenario("big", (big, big)))
+
+
+class TestLibraryArguments:
+    """The library's own arguments follow the rule table of the fields."""
+
+    @pytest.mark.parametrize("name, call", [
+        ("v", lambda: sbpf_eval(1.0, True, T0)),
+        ("z", lambda: ebis_eval(True, period())),
+        ("z", lambda: ebis_eval(math.inf, period())),
+        ("z_max", lambda: golden_section_optimum(period(), True, 1e-9)),
+        ("steps", lambda: grid_oracle(period(), 10.0, 2.5)),
+        ("steps", lambda: emit_curve_csv(period(), 0, 1, 2.7)),
+        ("threshold", lambda: classify_disruptive(1, 2, True)),
+        ("switch_index", lambda: ebis_mix_curve(period(), period(tech=T1), 1.5, [0.0, 1.0])),
+    ])
+    def test_rejected_naming_the_argument(self, name, call):
+        with pytest.raises(DomainError, match=f"^{name} must be "):
+            call()
+
+    def test_numpy_integer_counts_are_accepted(self):
+        p = period()
+        assert grid_oracle(p, 10.0, np.int64(10)) == grid_oracle(p, 10.0, 10)
+        assert emit_curve_csv(p, 0.0, 1.0, np.int64(4)) == emit_curve_csv(p, 0.0, 1.0, 4)
+        mix = ebis_mix_curve(p, period(tech=T1), np.int64(1), [0.0, 1.0])
+        assert mix.tolist() == ebis_mix_curve(p, period(tech=T1), 1, [0.0, 1.0]).tolist()

@@ -26,6 +26,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from secinvest import (
+    DomainError,
     InvestmentPlan,
     ModelError,
     NumericError,
@@ -201,6 +202,37 @@ def test_sweep_records_are_per_tuple_optima(alpha_axis, beta_axis, v_axis, loss_
     assert len(table) == len(rows)
     for name, column in zip(SWEEP_FIELDS, zip(*rows)):
         assert table[name].tolist() == list(column), name
+
+
+def sweep_axis(field, valid):
+    """Axis values of which about three in four are valid: the others lie out
+    of the field's range or are nan, +-inf, bools, ints beyond the float
+    range, or no numbers at all."""
+    invalid = st.one_of(OUT_OF_RANGE[field], st.sampled_from([*NON_FINITE, "1", None]))
+    return axis(st.sampled_from([valid, valid, valid, invalid]).flatmap(lambda values: values))
+
+
+@PROPERTY
+@given(
+    sweep_axis("alpha", alphas),
+    sweep_axis("beta", betas),
+    sweep_axis("vulnerability", vulnerabilities),
+    sweep_axis("loss", losses),
+)
+def test_sweep_raises_the_error_of_the_first_invalid_tuple(alpha_axis, beta_axis, v_axis, loss_axis):
+    expected = None
+    for alpha, beta, v, loss in itertools.product(alpha_axis, beta_axis, v_axis, loss_axis):
+        try:
+            make_period(v, loss, alpha, beta, 0)
+        except DomainError as exc:
+            expected = str(exc)
+            break
+    if expected is None:
+        assert len(optimum_shift_sweep(alpha_axis, beta_axis, v_axis, loss_axis)) > 0
+    else:
+        with pytest.raises(DomainError) as info:
+            optimum_shift_sweep(alpha_axis, beta_axis, v_axis, loss_axis)
+        assert str(info.value) == expected
 
 
 @PROPERTY
@@ -421,7 +453,7 @@ BLOCK = next(fmt_rows(ROW, [range(10**5), ["x"] * 10**5, [0.0] * 10**5, [0.0] * 
     st.lists(labels, min_size=1, max_size=5),
     st.tuples(*[st.integers(0, 2 * BLOCK)] * 3),
 )
-@example(1, EDGE_FLOATS, EDGE_FLOATS[::-1], ["pre", "post", "é"], (0, 3, 1))
+@example(1, EDGE_FLOATS, EDGE_FLOATS[::-1], ["pre", "post", "é", "\ud800"], (0, 3, 1))
 def test_fmt_rows_lines_are_the_row_format(extra, sixes, twos, names, shifts):
     # one row short of a block, a block, and one row over; each column starts
     # its cycle at its own shift, so every value can sit at a block's edge
