@@ -17,8 +17,8 @@ from .model import (
     Scenario,
     TechnologyProfile,
     _check,
+    _first_fault,
     enbis_eval,
-    first_invalid,
     sbpf_eval,
 )
 from .optimize import z_star
@@ -83,6 +83,8 @@ def delta_z(
 def classify_disruptive(enbis_a: float, enbis_b: float, threshold: float) -> bool:
     """True when scenario B's net benefit exceeds A's by more than the
     relative threshold (an absolute margin when ENBIS(A) <= 0)."""
+    _check("enbis_a", enbis_a, "total")
+    _check("enbis_b", enbis_b, "total")
     _check("threshold", threshold, "loss")
     if enbis_a > 0:
         return enbis_b > enbis_a * (1.0 + threshold)
@@ -144,15 +146,14 @@ def optimum_shift_sweep(
     table = np.recarray(shape, dtype=_SWEEP_DTYPE)
     if not count:
         return table.reshape(-1)
-    # before sorting (which a value that is no number fails): tuple 0, then each loss, v, beta
-    # and alpha with the other fields at index 0; the first to fail has the first bad tuple's error
+    # before sorting (which a value that is no number fails): tuple 0 through the types, then
+    # the loss, v, beta and alpha axes; the first to fail has the first bad tuple's error
     alpha, beta, v, loss = (values[0] for values in axes)
-    rows = ([(v, x, alpha, beta) for x in axes[3]] + [(x, loss, alpha, beta) for x in axes[2]]
-            + [(v, loss, alpha, x) for x in axes[1]] + [(v, loss, x, beta) for x in axes[0]])
-    bad = first_invalid([*zip(*rows), [0] * len(rows)])
-    if bad < len(rows):
-        v, loss, alpha, beta = rows[bad]
-        PeriodSpec(v, loss, TechnologyProfile(alpha, beta, 0))
+    PeriodSpec(v, loss, TechnologyProfile(alpha, beta, 0))
+    for field, values in zip(("loss", "vulnerability", "beta", "alpha"), axes[::-1]):
+        bad = _first_fault(values, field)
+        if bad < len(values):
+            _check(field, values[bad])
     axes = [sorted(values) for values in axes]
     # flattened, the "ij" grid is in the order of itertools.product; each
     # sparse axis broadcasts into its column

@@ -16,13 +16,12 @@ import numpy as np
 
 from .analysis import DEFAULT_DISRUPTION_THRESHOLD, delta_z, optimum_shift_sweep
 from .errors import DomainError, ModelError
-from .model import InvestmentPlan, PeriodSpec, Scenario, TechnologyProfile, ebis_mix_curve
+from .model import InvestmentPlan, PeriodSpec, Scenario, TechnologyProfile
 from .optimize import optimize_scenario
 from .scenario_io import (
-    _curve_columns,
+    _curve_table,
+    _mix_table,
     _z_grid,
-    emit_curve_csv,
-    emit_mix_csv,
     fmt,
     fmt_rows,
     parse_scenario,
@@ -92,21 +91,19 @@ def _grid_args(args) -> tuple:  # --z-max is v*L by default
 
 
 def _cmd_curve(args) -> int:
-    period = _period_from_args(args)
-    sys.stdout.write(emit_curve_csv(period, *_grid_args(args), args.include_disrupted))
+    lines, grid, columns = _curve_table(_period_from_args(args), *_grid_args(args), args.include_disrupted)
+    sys.stdout.writelines(lines)
     if args.svg is not None:
-        grid = _z_grid(*_grid_args(args))
-        _write_svg(args.svg, grid, *_curve_columns(period, grid, args.include_disrupted)[1])
+        _write_svg(args.svg, grid, *columns)
     return 0
 
 
 def _cmd_mix_curve(args) -> int:
     period_pre = _period_from_args(args)
     period_post = _period_from_args(args, args.alpha_post, args.beta_post, 1)
-    grid = _z_grid(*_grid_args(args))
-    sys.stdout.write(emit_mix_csv(period_pre, period_post, args.switch_index, grid))
+    lines, grid, mix = _mix_table(period_pre, period_post, args.switch_index, _z_grid(*_grid_args(args)))
+    sys.stdout.writelines(lines)
     if args.svg is not None:
-        mix = ebis_mix_curve(period_pre, period_post, args.switch_index, grid)
         _write_svg(args.svg, grid, mix)
     return 0
 

@@ -27,13 +27,14 @@ PERIOD_FIELDS = ("vulnerability", "loss", "alpha", "beta", "disruptive")
 # The domain of each numeric field and argument: a predicate that holds on a
 # finite number (elementwise on a float array, for a field) and its text in
 # the error message. The types apply it to one value, parse_scenario and
-# InvestmentPlan to a column. z, z_min, z_max and threshold follow "loss".
+# InvestmentPlan to a column. z, z_min, z_max and threshold follow "loss", enbis_a/b "total".
 _DOMAIN = {
     "vulnerability": (lambda x: (0.0 <= x) & (x <= 1.0), "must lie in [0, 1]"),
     "loss": (lambda x: x >= 0.0, "must be >= 0"),
     "alpha": (lambda x: x > 0, "must be > 0"),
     "beta": (lambda x: x >= 1, "must be >= 1"),
     "tol": (lambda x: x > 0, "must be > 0"),
+    "total": (lambda x: True, "may take either sign"),
     # counts; a grid oracle needs one step, a curve grid two
     "switch_index": (lambda x: isinstance(x, Integral) and x >= 0, "must be an integer >= 0"),
     "steps": (lambda x: isinstance(x, Integral) and x >= 1, "must be an integer >= 1"),
@@ -43,10 +44,10 @@ _DOMAIN = {
 
 def _check(name: str, value, field: str | None = None) -> None:
     """Reject anything but a finite real number in the domain of ``field``
-    (by default ``name``); bools, non-numbers, nan, +-inf and ints too large
-    for a float are not finite numbers."""
+    (by default ``name``); bools (``np.bool_`` too), non-numbers, nan, +-inf
+    and ints too large for a float are not finite numbers."""
     try:
-        finite = not isinstance(value, bool) and math.isfinite(value)
+        finite = not isinstance(value, (bool, np.bool_)) and math.isfinite(value)
     except (TypeError, OverflowError):
         finite = False
     if not finite:
@@ -62,10 +63,13 @@ def _is_dummy(d) -> bool:
 
 def _first_fault(column: Sequence, field: str) -> int:
     """Index of the first value that ``_check`` rejects for ``field``, or the
-    length; plain ints and floats within the float range make one mask."""
+    length. An int or float ndarray, or plain ints and floats within the
+    float range, make one mask; any other column is checked value by value,
+    so a bool or a string among numbers is found where numpy would cast it."""
     try:
-        if set(map(type, column)) <= {int, float}:  # bool is neither
-            x = np.array(column, dtype=float)
+        numeric = isinstance(column, np.ndarray) and column.dtype.kind in "iuf"
+        if numeric or set(map(type, column)) <= {int, float}:  # bool is neither
+            x = np.asarray(column, dtype=float)
             ok = np.isfinite(x) & _DOMAIN[field][0](x)
             return len(column) if ok.all() else int(ok.argmin())
     except OverflowError:  # an int beyond the float range
@@ -124,14 +128,6 @@ class PeriodSpec:
         _check("loss", self.loss)
 
 
-def columns_of(periods: Iterable[PeriodSpec]) -> tuple[tuple, ...]:
-    """The values of ``periods`` as one tuple per field of ``PERIOD_FIELDS``."""
-    return tuple(zip(*(
-        (p.vulnerability, p.loss, p.technology.alpha, p.technology.beta, p.technology.disruptive)
-        for p in periods
-    )))
-
-
 @dataclass(frozen=True)
 class Scenario:
     """An ordered, nonempty sequence of periods; the unit of optimization.
@@ -148,7 +144,9 @@ class Scenario:
         periods = tuple(periods)
         if not periods:
             raise DomainError("a scenario needs at least one period")
-        self.__dict__.update(label=label, columns=columns_of(periods), periods=periods)
+        rows = ((p.vulnerability, p.loss, p.technology.alpha, p.technology.beta, p.technology.disruptive)
+                for p in periods)
+        self.__dict__.update(label=label, columns=tuple(zip(*rows)), periods=periods)
 
     @classmethod
     def of_columns(cls, label: str, columns: tuple[tuple, ...]) -> "Scenario":
@@ -195,9 +193,9 @@ class InvestmentPlan:
 class PeriodBatch(NamedTuple):
     """The periods of a scenario as a struct of arrays, one entry per period.
 
-    ``k`` is the exponent beta + d. The fields share one shape; the
-    one-period views (``PeriodBatch.one``) hold plain floats instead, which
-    broadcast the same way.
+    ``k`` is the exponent beta + d. The fields are floats of one shape; a
+    one-period view (``PeriodBatch.one``, which every per-period function
+    reads) holds plain floats instead, which broadcast the same way.
     """
 
     alpha: ArrayLike
@@ -220,7 +218,7 @@ class PeriodBatch(NamedTuple):
     @classmethod
     def one(cls, period: PeriodSpec) -> "PeriodBatch":
         tech = period.technology
-        return cls(tech.alpha, tech.exponent, period.vulnerability, period.loss)
+        return cls(*map(float, (tech.alpha, tech.exponent, period.vulnerability, period.loss)))
 
 
 # alpha*z + 1 or its power may overflow to inf, which correctly gives S = 0
@@ -263,12 +261,16 @@ def _scalar_or_array(z: ArrayLike, out: np.ndarray) -> ArrayLike:
     return float(out) if np.isscalar(z) or out.ndim == 0 else out
 
 
-def _nonnegative(z: ArrayLike) -> np.ndarray:
-    """``z`` as a float array, once each value passes ``_check`` as a ``z``."""
-    values = np.asarray(z)  # one mask for an int or float array; bool, text or objects per value
-    if values.dtype.kind not in "iuf" or not (np.isfinite(values) & _DOMAIN["loss"][0](values)).all():
-        for value in np.asarray(z, dtype=object).reshape(-1).tolist():
-            _check("z", value, "loss")
+def _nonnegative(z: ArrayLike) -> ArrayLike:
+    """``z`` as a float or a float array, once each value passes ``_check``
+    as a ``z``; a list is scanned as the values it holds, not as numpy casts them."""
+    if isinstance(z, (int, float)):
+        _check("z", z, "loss")
+        return float(z)
+    values = z if isinstance(z, np.ndarray) else np.asarray(z, dtype=object)
+    bad = _first_fault(values.reshape(-1), "loss")
+    if bad < values.size:
+        _check("z", values.reshape(-1).tolist()[bad], "loss")
     return values.astype(float, copy=False)
 
 
@@ -327,8 +329,8 @@ def ebis_mix_curve(
     _check("switch_index", switch_index)
     grid = _nonnegative(z_grid)
     return np.concatenate((
-        ebis_eval(grid[:switch_index], period_pre),
-        ebis_eval(grid[switch_index:], period_post),
+        ebis(grid[:switch_index], PeriodBatch.one(period_pre)),
+        ebis(grid[switch_index:], PeriodBatch.one(period_post)),
     ))
 
 

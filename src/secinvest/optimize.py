@@ -20,7 +20,6 @@ from .model import (
     Scenario,
     _check,
     breach,
-    columns_of,
     ebis,
     ebis_eval,
     net_total,
@@ -52,6 +51,7 @@ def z_star(batch: PeriodBatch) -> np.ndarray:
     objective is nonincreasing and the corner z = 0 is optimal. The logs and
     expm1 go through ``math``, whose last bit numpy's do not always match.
     """
+    batch = PeriodBatch(*np.atleast_1d(*batch))  # a one-period view's floats too
     alpha, k = batch.alpha, batch.k
     with np.errstate(over="ignore", invalid="ignore"):
         interior = alpha * k * batch.v * batch.loss
@@ -90,7 +90,7 @@ def _map(fn, values: np.ndarray) -> np.ndarray:
 
 def closed_form_optimum(period: PeriodSpec) -> float:
     """Optimal investment of one period: the one-period view of ``z_star``."""
-    return float(z_star(PeriodBatch.of(columns_of((period,))))[0])
+    return float(z_star(PeriodBatch.one(period))[0])
 
 
 def golden_section_optimum(period: PeriodSpec, z_max: float, tol: float) -> float:
@@ -158,7 +158,7 @@ def _optima(batch: PeriodBatch) -> tuple[np.recarray, np.ndarray]:
 def optimize_period(period: PeriodSpec) -> np.record:
     """Optimal investment for one period via the closed form: the row of
     ``optimize_scenario``'s ``per_period``."""
-    return _optima(PeriodBatch.of(columns_of((period,))))[0][0]
+    return _optima(PeriodBatch.one(period))[0][0]
 
 
 def optimize_scenario(scenario: Scenario) -> OptimizationResult:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import replace
+from itertools import chain
 from operator import itemgetter
 from typing import Iterator, Sequence
 
@@ -208,14 +209,20 @@ def _z_grid(z_min: float, z_max: float, steps: int) -> np.ndarray:
     return _uniform_grid(z_min, z_max, steps)
 
 
-def _curve_columns(period: PeriodSpec, grid: np.ndarray, include_disrupted: bool):
-    """The periods of a curve table (the disrupted twin second) and their
-    EBIS and ENBIS columns on ``grid``, in table order."""
+def _curve_table(period: PeriodSpec, z_min: float, z_max: float, steps: int, include_disrupted: bool):
+    """The lines of ``emit_curve_csv``, formatted as they are read, with the
+    grid and the curve columns they print."""
+    grid = _z_grid(z_min, z_max, steps)
     periods = [period]
     if include_disrupted:
         periods.append(replace(period, technology=replace(period.technology, disruptive=1)))
     curves = [ebis_eval(grid, p) for p in periods]
-    return periods, [column for ebis in curves for column in (ebis, ebis - grid)]
+    columns = [column for ebis in curves for column in (ebis, ebis - grid)]
+    names = "0d"[: len(periods)]
+    header = "z" + "".join(f",ebis_{n},enbis_{n}" for n in names)
+    rows = fmt_rows(",".join(["%.6f"] * (len(columns) + 1)), [grid, *columns])
+    footers = (f"# z_star_{n}={fmt(closed_form_optimum(p))}\n" for p, n in zip(periods, names))
+    return chain([header + "\n"], rows, footers), grid, columns
 
 
 def emit_curve_csv(
@@ -228,13 +235,17 @@ def emit_curve_csv(
     """Benefit curves on a uniform z grid, optionally with the disrupted
     (dummy raised to 1) counterpart alongside; each curve is one array
     evaluation, and footer rows carry each curve's optimal investment."""
-    grid = _z_grid(z_min, z_max, steps)
-    periods, columns = _curve_columns(period, grid, include_disrupted)
-    names = "0d"[: len(periods)]
-    header = "z" + "".join(f",ebis_{n},enbis_{n}" for n in names)
-    rows = fmt_rows(",".join(["%.6f"] * (len(columns) + 1)), [grid, *columns])
-    footers = (f"# z_star_{n}={fmt(closed_form_optimum(p))}\n" for p, n in zip(periods, names))
-    return "".join([header + "\n", *rows, *footers])
+    return "".join(_curve_table(period, z_min, z_max, steps, include_disrupted)[0])
+
+
+def _mix_table(period_pre: PeriodSpec, period_post: PeriodSpec, switch_index: int, z_grid: Sequence[float]):
+    """The lines of ``emit_mix_csv``, formatted as they are read, with the grid and the curve."""
+    ebis = ebis_mix_curve(period_pre, period_post, switch_index, z_grid)
+    grid = np.asarray(z_grid, dtype=float)
+    index = np.arange(grid.size)
+    branch = np.where(index < switch_index, "pre", "post")
+    rows = fmt_rows("%d,%s,%.6f,%.6f", [index, branch, grid, ebis])
+    return chain(["index,branch,z,ebis\n"], rows), grid, ebis
 
 
 def emit_mix_csv(
@@ -245,12 +256,7 @@ def emit_mix_csv(
 ) -> str:
     """Piecewise pre/post curve rows from the array of ``ebis_mix_curve``;
     row i is labelled ``pre`` when i < switch_index, else ``post``."""
-    ebis = ebis_mix_curve(period_pre, period_post, switch_index, z_grid)
-    grid = np.asarray(z_grid, dtype=float)
-    index = np.arange(grid.size)
-    branch = np.where(index < switch_index, "pre", "post")
-    rows = fmt_rows("%d,%s,%.6f,%.6f", [index, branch, grid, ebis])
-    return "".join(["index,branch,z,ebis\n", *rows])
+    return "".join(_mix_table(period_pre, period_post, switch_index, z_grid)[0])
 
 
 def _as_printed(x) -> np.ndarray:
@@ -285,4 +291,4 @@ def render_curve_svg(z: Sequence, columns: Sequence, width: int = 640, height: i
         py = height - margin - scaled(column, height)
         pts = "".join(fmt_rows("%.2f,%.2f", [px, py], " "))[:-1]
         parts.append(f'<polyline fill="none" stroke="{colors[i % 4]}" points="{pts}"/>')
-    return "\n".join(parts + ["</svg>"]) + "\n"
+    return "\n".join([*parts, "</svg>", ""])  # one copy of the document, not two

@@ -215,6 +215,10 @@ class TestOptimumShiftSweep:
         keys = [(r.alpha, r.beta, r.vulnerability, r.loss) for r in records]
         assert keys == sorted(keys)
 
+    def test_integer_axes_equal_their_float_twin(self):
+        ints = optimum_shift_sweep([10**5], [10**5], [1], [10**10])
+        assert ints.tolist() == optimum_shift_sweep([1e5], [1e5], [1.0], [1e10]).tolist()
+
     # a non-number is rejected through the types before the axes are sorted
     @pytest.mark.parametrize("bad", ["a", None])
     @pytest.mark.parametrize("axis, name", enumerate(["alpha", "beta", "vulnerability", "loss"]))

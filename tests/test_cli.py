@@ -173,6 +173,24 @@ def test_svg_written(tmp_path, capsys):
     assert svg.read_text().startswith("<svg")
 
 
+@pytest.mark.parametrize("extra", [["curve", "--include-disrupted"], ["mix-curve", "--switch-index", "4"]])
+def test_csv_and_svg_share_one_evaluation_per_curve(extra, tmp_path, capsys, monkeypatch):
+    calls = []
+    breach = secinvest.model.breach
+
+    def counted(z, batch):
+        calls.append(len(z))
+        return breach(z, batch)
+
+    monkeypatch.setattr(secinvest.model, "breach", counted)
+    argv = [*extra, "--vulnerability", "0.5", "--loss", "100", "--alpha", "1", "--beta", "1",
+            "--steps", "10", "--svg", str(tmp_path / "c.svg")]
+    assert run_cli(argv) == 0
+    capsys.readouterr()
+    # two curves: the baseline and its disrupted twin, or the pre and post branches
+    assert calls == [11, 11] if extra[0] == "curve" else calls == [4, 7]
+
+
 @pytest.mark.parametrize("command", ["curve", "mix-curve"])
 def test_svg_to_an_unwritable_path_exits_1(command, tmp_path, capsys):
     svg = tmp_path / "missing" / "x.svg"

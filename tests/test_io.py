@@ -12,7 +12,7 @@ from secinvest import (
     render_curve_svg,
     scenario_to_json,
 )
-from secinvest.scenario_io import _curve_columns, _z_grid, fmt
+from secinvest.scenario_io import _curve_table, _z_grid, fmt
 
 MINIMAL = """
 {
@@ -142,8 +142,8 @@ class TestMixCsvEdges:
 
 class TestSvg:
     def test_polylines_per_column(self):
-        grid = _z_grid(0.0, 5.0, 10)
-        svg = render_curve_svg(grid, _curve_columns(period(), grid, include_disrupted=True)[1])
+        _, grid, columns = _curve_table(period(), 0.0, 5.0, 10, include_disrupted=True)
+        svg = render_curve_svg(grid, columns)
         assert svg.count("<polyline") == 4
         assert svg.startswith("<svg")
 

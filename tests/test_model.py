@@ -227,6 +227,7 @@ NOT_FINITE = [
     math.inf,
     -math.inf,
     True,
+    pytest.param(np.True_, id="np.True_"),
     pytest.param(10**400, id="400-digits"),
     "1",
     None,
@@ -308,6 +309,14 @@ class TestLibraryArguments:
         ("steps", lambda: emit_curve_csv(period(), 0, 1, 2.7)),
         ("threshold", lambda: classify_disruptive(1, 2, True)),
         ("switch_index", lambda: ebis_mix_curve(period(), period(tech=T1), 1.5, [0.0, 1.0])),
+        ("z", lambda: ebis_eval(np.True_, period())),
+        # a list is checked value by value, not as numpy casts it
+        ("z", lambda: ebis_eval([True, 0.5], period())),
+        ("z", lambda: sbpf_eval([0.5, True], 0.5, T0)),
+        ("z", lambda: ebis_mix_curve(period(), period(tech=T1), 1, [0.0, True])),
+        ("z", lambda: ebis_eval([[0.5], [True]], period())),
+        ("enbis_a", lambda: classify_disruptive(math.nan, 1.0, 0.1)),
+        ("enbis_b", lambda: classify_disruptive(1.0, math.inf, 0.1)),
     ])
     def test_rejected_naming_the_argument(self, name, call):
         with pytest.raises(DomainError, match=f"^{name} must be "):

@@ -146,6 +146,13 @@ class TestOptimizeScenario:
         assert result.per_period.dtype.names == (
             "z_star", "breach_probability_at_optimum", "ebis_at_optimum")
 
+    def test_integer_inputs_equal_their_float_twin(self):
+        # alpha*k*v*L = 10**20 lies beyond int64, so the product must be formed in floats
+        ints = PeriodSpec(1, 10**10, TechnologyProfile(10**5, 10**5, 0))
+        floats = PeriodSpec(1.0, 1e10, TechnologyProfile(1e5, 1e5, 0))
+        assert closed_form_optimum(ints) == closed_form_optimum(floats) > 0.0
+        assert optimize_period(ints).item() == optimize_period(floats).item()
+
     def test_optima_are_read_only(self):
         result = optimize_scenario(Scenario("one", (period(),)))
         with pytest.raises(ValueError, match="read-only"):
