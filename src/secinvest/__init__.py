@@ -25,7 +25,6 @@ from .model import (
     ebis_eval,
     ebis_mix_curve,
     enbis_eval,
-    mix_jump,
     sbpf_eval,
 )
 from .optimize import (
@@ -41,7 +40,6 @@ from .scenario_io import (
     emit_mix_csv,
     parse_scenario,
     render_curve_svg,
-    scenario_to_json,
 )
 
 __version__ = "0.1.0"
@@ -80,7 +78,6 @@ __all__ = [
     "enbis_eval",
     "golden_section_optimum",
     "grid_oracle",
-    "mix_jump",
     "optimize_period",
     "optimize_scenario",
     "parse_scenario",
@@ -89,5 +86,4 @@ __all__ = [
     "render_curve_svg",
     "run_cli",
     "sbpf_eval",
-    "scenario_to_json",
 ]

@@ -1,8 +1,9 @@
 """Command-line surface.
 
-Subcommands: optimize, curve, mix-curve, delta-z, sweep. Data goes to
-stdout, diagnostics to stderr. Exit 0 on success, 1 on domain/contract
-errors, 2 on usage errors.
+Subcommands: optimize, curve, mix-curve, delta-z, sweep. Each handler
+computes its result, then yields the text of its stdout; ``run_cli`` writes
+it, so an input error writes nothing there. Data goes to stdout, diagnostics
+to stderr. Exit 0 on success, 1 on domain/contract errors, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -71,44 +72,40 @@ def _period_from_args(args, alpha=None, beta=None, disruptive=0) -> PeriodSpec:
     )
 
 
-def _cmd_optimize(args) -> int:
+def _cmd_optimize(args) -> Iterator[str]:
     scenario = _load_scenario(args.scenario)
     result = optimize_scenario(scenario)
     table = result.per_period
     z, ebis = table.z_star, table.ebis_at_optimum
-    print(f"scenario={scenario.label}")
-    print(f"periods={scenario.horizon}")
-    sys.stdout.writelines(fmt_rows(
+    yield f"scenario={scenario.label}\nperiods={scenario.horizon}\n"
+    yield from fmt_rows(
         "period %d: z_star=%.6f breach_probability=%.6f ebis=%.6f enbis=%.6f method=closed_form",
         [np.arange(1, len(table) + 1), z, table.breach_probability_at_optimum, ebis, ebis - z],
-    ))
-    print(f"enbis_total={fmt(result.enbis_total)}")
-    return 0
+    )
+    yield f"enbis_total={fmt(result.enbis_total)}\n"
 
 
 def _grid_args(args) -> tuple:  # --z-max is v*L by default
     return args.z_min, args.vulnerability * args.loss if args.z_max is None else args.z_max, args.steps
 
 
-def _cmd_curve(args) -> int:
+def _cmd_curve(args) -> Iterator[str]:
     lines, grid, columns = _curve_table(_period_from_args(args), *_grid_args(args), args.include_disrupted)
-    sys.stdout.writelines(lines)
+    yield from lines
     if args.svg is not None:
         _write_svg(args.svg, grid, *columns)
-    return 0
 
 
-def _cmd_mix_curve(args) -> int:
+def _cmd_mix_curve(args) -> Iterator[str]:
     period_pre = _period_from_args(args)
     period_post = _period_from_args(args, args.alpha_post, args.beta_post, 1)
     lines, grid, mix = _mix_table(period_pre, period_post, args.switch_index, _z_grid(*_grid_args(args)))
-    sys.stdout.writelines(lines)
+    yield from lines
     if args.svg is not None:
         _write_svg(args.svg, grid, mix)
-    return 0
 
 
-def _cmd_delta_z(args) -> int:
+def _cmd_delta_z(args) -> Iterator[str]:
     scenario_a = _load_scenario(args.scenario_a)
     scenario_b = _load_scenario(args.scenario_b)
     # the vulnerability and loss columns, compared as the file gave them
@@ -124,26 +121,24 @@ def _cmd_delta_z(args) -> int:
         plan_a = _plan_from_flag(args.plan_a, "--plan-a", scenario_a)
         plan_b = _plan_from_flag(args.plan_b, "--plan-b", scenario_b)
     report = delta_z(scenario_a, plan_a, scenario_b, plan_b, args.threshold)
-    print(f"delta_z={fmt(report.delta_z)}")
-    print(f"enbis_a={fmt(report.enbis_a)}")
-    print(f"enbis_b={fmt(report.enbis_b)}")
-    print(f"period_count={report.period_count}")
-    print(f"classified_disruptive={'true' if report.classified_disruptive else 'false'}")
-    print(f"threshold={fmt(report.threshold_used)}")
-    return 0
+    yield f"delta_z={fmt(report.delta_z)}\n"
+    yield f"enbis_a={fmt(report.enbis_a)}\n"
+    yield f"enbis_b={fmt(report.enbis_b)}\n"
+    yield f"period_count={report.period_count}\n"
+    yield f"classified_disruptive={'true' if report.classified_disruptive else 'false'}\n"
+    yield f"threshold={fmt(report.threshold_used)}\n"
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> Iterator[str]:
     table = optimum_shift_sweep(
         _parse_values(args.alpha, "--alpha"),
         _parse_values(args.beta, "--beta"),
         _parse_values(args.vulnerability, "--vulnerability"),
         _parse_values(args.loss, "--loss"),
     )
-    print(",".join(table.dtype.names))
     columns = [table[name] for name in table.dtype.names]
-    sys.stdout.writelines(fmt_rows("%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,%s", columns))
-    return 0
+    yield ",".join(table.dtype.names) + "\n"
+    yield from fmt_rows("%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,%s", columns)
 
 
 def _add_curve_flags(parser: argparse.ArgumentParser) -> None:
@@ -209,10 +204,11 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        sys.stdout.writelines(args.func(args))
     except ModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def main() -> None:

@@ -328,12 +328,9 @@ def ebis_mix_curve(
             raise ContractError("post-switch technology must have disruptive=1")
     _check("switch_index", switch_index)
     grid = _nonnegative(z_grid)
+    if np.ndim(grid) != 1:
+        raise DomainError(f"z_grid must be a 1-D sequence of numbers, got {np.ndim(grid)} dimensions")
     return np.concatenate((
         ebis(grid[:switch_index], PeriodBatch.one(period_pre)),
         ebis(grid[switch_index:], PeriodBatch.one(period_post)),
     ))
-
-
-def mix_jump(period_pre: PeriodSpec, period_post: PeriodSpec, z: float) -> float:
-    """Size of the curve discontinuity at investment level z: EBIS_post - EBIS_pre."""
-    return ebis_eval(z, period_post) - ebis_eval(z, period_pre)

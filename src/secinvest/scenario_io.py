@@ -170,8 +170,9 @@ def parse_scenario(document: str) -> Scenario:
     return Scenario.of_columns(data["label"], columns)
 
 
-def _parse_period(i: int, entry) -> PeriodSpec:
-    """Entry ``i`` of a document's periods, built through the domain types."""
+def _parse_period(i: int, entry) -> None:
+    """Raise the error of entry ``i`` of a document's periods, as building it
+    through the domain types finds it."""
     where = f"periods[{i}]"
     if not isinstance(entry, dict):
         raise ParseError(f"{where} must be an object")
@@ -183,20 +184,9 @@ def _parse_period(i: int, entry) -> PeriodSpec:
         raise ParseError(f"{where} is missing fields: {sorted(missing)}")
     try:
         tech = TechnologyProfile(entry["alpha"], entry["beta"], entry["disruptive"])
-        return PeriodSpec(entry["vulnerability"], entry["loss"], tech)
+        PeriodSpec(entry["vulnerability"], entry["loss"], tech)
     except DomainError as exc:
         raise ParseError(f"{where}.{exc}") from exc
-
-
-def scenario_to_json(scenario: Scenario) -> str:
-    """Serialize a scenario back to its file schema (round-trips exactly)."""
-    return json.dumps(
-        {
-            "label": scenario.label,
-            "periods": [dict(zip(PERIOD_FIELDS, row)) for row in zip(*scenario.columns)],
-        },
-        indent=2,
-    )
 
 
 def _z_grid(z_min: float, z_max: float, steps: int) -> np.ndarray:
@@ -272,12 +262,12 @@ def _as_printed(x) -> np.ndarray:
     return out
 
 
-def render_curve_svg(z: Sequence, columns: Sequence, width: int = 640, height: int = 480) -> str:
-    """One polyline per curve of ``columns`` against the grid ``z``, each
-    value drawn as its CSV cell prints it (``fmt``). Convenience output only;
-    correctness is asserted on the CSV.
+def render_curve_svg(z: Sequence, columns: Sequence) -> str:
+    """One polyline per curve of ``columns`` against the grid ``z`` on a
+    640x480 plot, each value drawn as its CSV cell prints it (``fmt``).
+    Convenience output only; correctness is asserted on the CSV.
     """
-    margin = 40.0
+    width, height, margin = 640, 480, 40.0
 
     def scaled(values, size):  # the same operations, in the same order, as per point
         values = _as_printed(values)

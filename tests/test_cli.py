@@ -58,8 +58,9 @@ def test_delta_z_unequal_horizons_exit_1(scenario_file, capsys):
     b_payload = dict(ONE_PERIOD_VL10, periods=ONE_PERIOD_VL10["periods"] * 2)
     b = scenario_file("b.json", b_payload)
     assert run_cli(["delta-z", a, b]) == 1
-    err = capsys.readouterr().err
-    assert "must be equal in order to proceed" in err
+    captured = capsys.readouterr()
+    assert "must be equal in order to proceed" in captured.err
+    assert captured.out == ""
 
 
 def test_delta_z_with_plans(scenario_file, capsys):
@@ -83,7 +84,9 @@ def test_delta_z_strict_mode_rejects_mismatched_losses(scenario_file, capsys):
     b_payload["periods"][0]["loss"] = 30
     b = scenario_file("b.json", b_payload)
     assert run_cli(["delta-z", a, b, "--strict"]) == 1
-    assert "strict" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "strict" in captured.err
+    assert captured.out == ""
 
 
 def test_delta_z_optimize_mode(scenario_file, capsys):
@@ -127,16 +130,28 @@ def test_curve_invalid_range_exit_1(capsys):
         ]
     )
     assert code == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_invalid_scenario_file_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"label": "x", "periods": [{"vulnerability": 2}]}')
     assert run_cli(["optimize", str(bad)]) == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_missing_file_exit_1(tmp_path, capsys):
     assert run_cli(["optimize", str(tmp_path / "nope.json")]) == 1
+    assert capsys.readouterr().out == ""
+
+
+def test_top_level_array_exit_1(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[]")
+    assert run_cli(["optimize", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: top-level value must be an object\n"
+    assert captured.out == ""
 
 
 def test_usage_error_exit_2(capsys):
@@ -262,7 +277,7 @@ def test_non_finite_or_out_of_range_flags_exit_1(argv, capsys):
     assert run_cli(argv) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
-    assert "nan" not in captured.out and "inf" not in captured.out
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(
@@ -271,7 +286,9 @@ def test_non_finite_or_out_of_range_flags_exit_1(argv, capsys):
 def test_delta_z_non_finite_flags_exit_1(flags, scenario_file, capsys):
     path = scenario_file("a.json", ONE_PERIOD_VL10)
     assert run_cli(["delta-z", path, path, *flags]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("flag", ["--plan-a", "--plan-b"])
@@ -405,7 +422,7 @@ def test_package_import_does_not_load_the_cli():
     code = (
         "import sys, secinvest; assert 'secinvest.cli' not in sys.modules; "
         "from secinvest import run_cli; assert 'secinvest.cli' in sys.modules; "
-        "assert len(secinvest.__all__) == 33"
+        "assert len(secinvest.__all__) == 31"
     )
     result = _run_python("-c", code)
     assert result.returncode == 0, result.stderr

@@ -1,17 +1,21 @@
+import json
+
 import pytest
 
 from secinvest import (
+    ContractError,
     DomainError,
     ParseError,
     PeriodSpec,
     TechnologyProfile,
     ebis_eval,
+    ebis_mix_curve,
     emit_curve_csv,
     emit_mix_csv,
     parse_scenario,
     render_curve_svg,
-    scenario_to_json,
 )
+from secinvest.model import PERIOD_FIELDS
 from secinvest.scenario_io import _curve_table, _z_grid, fmt
 
 MINIMAL = """
@@ -40,7 +44,11 @@ class TestParseScenario:
             1,
             0,
         )
-        assert parse_scenario(scenario_to_json(sc)) == sc
+        document = {"label": sc.label, "periods": [dict(zip(PERIOD_FIELDS, row)) for row in zip(*sc.columns)]}
+        again = parse_scenario(json.dumps(document))
+        assert again == sc
+        types = [[list(map(type, column)) for column in s.columns] for s in (again, sc)]
+        assert types == [[[float], [int], [int], [int], [int]]] * 2  # ints stay ints
 
     def test_bad_beta_is_field_addressed(self):
         doc = MINIMAL.replace('"beta": 1', '"beta": 0.5')
@@ -146,6 +154,33 @@ class TestSvg:
         svg = render_curve_svg(grid, columns)
         assert svg.count("<polyline") == 4
         assert svg.startswith("<svg")
+
+
+VALID_PERIODS = '[{"vulnerability": 0.5, "loss": 1, "alpha": 1, "beta": 1, "disruptive": 0}]'
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda: parse_scenario("[]"), ParseError, "top-level value must be an object", id="not-object"),
+        pytest.param(lambda: parse_scenario('{"label": "x", "periods": %s, "seed": 1}' % VALID_PERIODS),
+                     ParseError, "unknown top-level fields: ['seed']", id="unknown-field"),
+        pytest.param(lambda: parse_scenario('{"periods": %s}' % VALID_PERIODS),
+                     ParseError, "label must be present and a string", id="label-missing"),
+        pytest.param(lambda: parse_scenario('{"label": 1, "periods": %s}' % VALID_PERIODS),
+                     ParseError, "label must be present and a string", id="label-not-str"),
+        pytest.param(lambda: parse_scenario('{"label": "x"}'),
+                     ParseError, "periods must be present and a list", id="periods-missing"),
+        pytest.param(lambda: parse_scenario('{"label": "x", "periods": {}}'),
+                     ParseError, "periods must be present and a list", id="periods-not-list"),
+        pytest.param(lambda: ebis_mix_curve(period(), period(alpha=2.0), 1, [0.0, 1.0]),
+                     ContractError, "post-switch technology must have disruptive=1", id="post-not-disruptive"),
+    ],
+)
+def test_document_and_switch_checks(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
 
 
 class TestParseDomain:

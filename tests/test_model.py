@@ -18,7 +18,6 @@ from secinvest import (
     enbis_eval,
     golden_section_optimum,
     grid_oracle,
-    mix_jump,
     sbpf_eval,
 )
 
@@ -197,20 +196,29 @@ class TestMixCurve:
         ebis = ebis_mix_curve(period(), period(tech=T1), 99, [0.0, 1.0])
         assert ebis.tolist() == ebis_eval(np.array([0.0, 1.0]), period()).tolist()
 
+    @staticmethod
+    def jump(z):
+        """The curve's step at the switch, on a grid that repeats ``z`` there."""
+        ebis = ebis_mix_curve(period(), period(tech=T1), 2, [0.0, z, z, z + 1.0])
+        return float(ebis[2] - ebis[1])
+
     def test_jump_hand_value(self):
-        assert mix_jump(period(), period(tech=T1), 1.0) == pytest.approx(
-            12.5, abs=1e-12
-        )
+        assert self.jump(1.0) == 12.5
 
     def test_jump_matches_dummy_toggle_and_is_nonnegative(self):
         for z in [0.0, 0.5, 1.0, 3.0, 10.0]:
-            jump = mix_jump(period(), period(tech=T1), z)
+            jump = self.jump(z)
             expected = ebis_eval(z, period(tech=T1)) - ebis_eval(z, period(tech=T0))
-            assert jump == expected
+            assert jump.hex() == expected.hex()
             assert jump >= 0.0
 
     def test_jump_zero_at_zero_investment(self):
-        assert mix_jump(period(), period(tech=T1), 0.0) == 0.0
+        assert self.jump(0.0) == 0.0
+
+    @pytest.mark.parametrize("z_grid", [0.5, np.float64(0.5), np.array(0.5), [[0.0, 1.0]]])
+    def test_grid_must_be_one_dimensional(self, z_grid):
+        with pytest.raises(DomainError, match="^z_grid must be a 1-D sequence"):
+            ebis_mix_curve(period(), period(tech=T1), 1, z_grid)
 
     def test_identical_periods_give_zero_jump(self):
         ebis = ebis_mix_curve(period(), period(), 1, [0.0, 1.0, 2.0])
