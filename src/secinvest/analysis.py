@@ -96,7 +96,10 @@ def productivity_ratio(plan_a: InvestmentPlan, plan_b: InvestmentPlan) -> float:
     total_a = plan_a.total
     if total_a <= 0:
         raise DomainError("plan A must have a positive total investment")
-    return plan_b.total / total_a
+    ratio = plan_b.total / total_a
+    if not (math.isfinite(total_a) and math.isfinite(ratio)):
+        raise NumericError(f"productivity ratio of totals {plan_b.total} and {total_a} overflows a float")
+    return ratio
 
 
 def dominance_check(

@@ -261,16 +261,16 @@ def _scalar_or_array(z: ArrayLike, out: np.ndarray) -> ArrayLike:
     return float(out) if np.isscalar(z) or out.ndim == 0 else out
 
 
-def _nonnegative(z: ArrayLike) -> ArrayLike:
-    """``z`` as a float or a float array, once each value passes ``_check``
-    as a ``z``; a list is scanned as the values it holds, not as numpy casts them."""
+def _numbers(z: ArrayLike, name: str = "z", field: str = "loss") -> ArrayLike:
+    """``z`` as a float or a float array, once each value passes ``_check`` as
+    a ``field`` named ``name``; a list is scanned as its values, not as numpy casts them."""
     if isinstance(z, (int, float)):
-        _check("z", z, "loss")
+        _check(name, z, field)
         return float(z)
     values = z if isinstance(z, np.ndarray) else np.asarray(z, dtype=object)
-    bad = _first_fault(values.reshape(-1), "loss")
+    bad = _first_fault(values.reshape(-1), field)
     if bad < values.size:
-        _check("z", values.reshape(-1).tolist()[bad], "loss")
+        _check(name, values.reshape(-1).tolist()[bad], field)
     return values.astype(float, copy=False)
 
 
@@ -280,7 +280,7 @@ def sbpf_eval(z: ArrayLike, v: float, tech: TechnologyProfile) -> ArrayLike:
     Takes a scalar or an ndarray ``z`` and returns the same shape, evaluated
     elementwise by ``breach``.
     """
-    z_arr = _nonnegative(z)
+    z_arr = _numbers(z)
     _check("v", v, "vulnerability")
     # the loss plays no part in S
     out = breach(z_arr, PeriodBatch(tech.alpha, tech.exponent, v, 0.0))
@@ -292,7 +292,7 @@ def ebis_eval(z: ArrayLike, period: PeriodSpec) -> ArrayLike:
 
     Takes a scalar or an ndarray ``z`` and returns the same shape.
     """
-    return _scalar_or_array(z, ebis(_nonnegative(z), PeriodBatch.one(period)))
+    return _scalar_or_array(z, ebis(_numbers(z), PeriodBatch.one(period)))
 
 
 def enbis_eval(plan: InvestmentPlan, scenario: Scenario) -> float:
@@ -327,7 +327,7 @@ def ebis_mix_curve(
         if period_post.technology.disruptive != 1:
             raise ContractError("post-switch technology must have disruptive=1")
     _check("switch_index", switch_index)
-    grid = _nonnegative(z_grid)
+    grid = _numbers(z_grid)
     if np.ndim(grid) != 1:
         raise DomainError(f"z_grid must be a 1-D sequence of numbers, got {np.ndim(grid)} dimensions")
     return np.concatenate((

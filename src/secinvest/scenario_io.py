@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ParseError
+from .errors import ContractError, DomainError, ParseError
 from .model import (
     MAX_GRID,
     PERIOD_FIELDS,
@@ -26,6 +26,7 @@ from .model import (
     Scenario,
     TechnologyProfile,
     _check,
+    _numbers,
     ebis_eval,
     ebis_mix_curve,
     first_invalid,
@@ -152,6 +153,8 @@ def parse_scenario(document: str) -> Scenario:
         raise ParseError(f"unknown top-level fields: {sorted(unknown)}")
     if "label" not in data or not isinstance(data["label"], str):
         raise ParseError("label must be present and a string")
+    if re.search("[\ud800-\udfff]", data["label"]):  # stdout cannot encode it
+        raise ParseError("label must not hold a lone surrogate (an unpaired \\ud800-\\udfff escape)")
     if "periods" not in data or not isinstance(data["periods"], list):
         raise ParseError("periods must be present and a list")
     entries = data["periods"]
@@ -264,9 +267,16 @@ def _as_printed(x) -> np.ndarray:
 
 def render_curve_svg(z: Sequence, columns: Sequence) -> str:
     """One polyline per curve of ``columns`` against the grid ``z`` on a
-    640x480 plot, each value drawn as its CSV cell prints it (``fmt``).
-    Convenience output only; correctness is asserted on the CSV.
-    """
+    640x480 plot, each value drawn as its CSV cell prints it (``fmt``); ``z``
+    and each column must be nonempty, 1-D, finite and of one length.
+    Convenience output only; correctness is asserted on the CSV."""
+    z = _numbers(z, "z", "total")
+    if np.ndim(z) != 1 or not np.size(z):
+        raise DomainError(f"z must be a nonempty 1-D sequence of numbers, got shape {np.shape(z)}")
+    columns = [_numbers(column, f"columns[{i}]", "total") for i, column in enumerate(columns)]
+    for i, column in enumerate(columns):
+        if np.shape(column) != z.shape:
+            raise ContractError(f"columns[{i}] must have the shape of z {z.shape}, got {np.shape(column)}")
     width, height, margin = 640, 480, 40.0
 
     def scaled(values, size):  # the same operations, in the same order, as per point

@@ -125,6 +125,18 @@ class TestProductivityRatio:
         with pytest.raises(DomainError, match="positive total"):
             productivity_ratio(InvestmentPlan((0.0,)), InvestmentPlan((1.0,)))
 
+    @pytest.mark.parametrize(
+        "amounts_a, amounts_b",
+        [
+            pytest.param((1.0,), (1e308, 1e308), id="total-b-overflows"),  # gave inf
+            pytest.param((1e308, 1e308), (1.0,), id="total-a-overflows"),  # gave 0.0
+            pytest.param((1e-300,), (1e300,), id="ratio-overflows"),  # gave inf
+        ],
+    )
+    def test_overflow_raises(self, amounts_a, amounts_b):
+        with pytest.raises(NumericError, match="overflows a float"):
+            productivity_ratio(InvestmentPlan(amounts_a), InvestmentPlan(amounts_b))
+
 
 class TestDominanceCheck:
     def test_zero_vulnerability_vacuously_true(self):

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import random
@@ -152,6 +153,19 @@ def test_top_level_array_exit_1(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: top-level value must be an object\n"
     assert captured.out == ""
+
+
+def test_lone_surrogate_label_exit_1(scenario_file, capsys):
+    # json.dumps writes the label as the escape "\ud800", which is valid JSON
+    path = scenario_file("lone.json", dict(ONE_PERIOD_VL10, label="a\ud800"))
+    assert run_cli(["optimize", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: label must not hold a lone surrogate (an unpaired \\ud800-\\udfff escape)\n"
+    assert captured.out == ""
+    # a surrogate pair is one character, which stdout can encode
+    path = scenario_file("pair.json", dict(ONE_PERIOD_VL10, label="a\U0001F600"))
+    assert run_cli(["optimize", path]) == 0
+    assert capsys.readouterr().out.startswith("scenario=a\U0001F600\n")
 
 
 def test_usage_error_exit_2(capsys):
@@ -338,8 +352,15 @@ def test_module_entry_point_writes_nothing_to_stderr():
 
 
 def test_every_public_name_resolves():
+    assert len(set(secinvest.__all__)) == len(secinvest.__all__)
+    assert set(secinvest.__all__) <= set(dir(secinvest))
     for name in secinvest.__all__:
-        assert getattr(secinvest, name) is not None, name
+        value = getattr(secinvest, name)
+        assert value is not None, name
+        if inspect.isclass(value) or inspect.isfunction(value):
+            assert getattr(sys.modules[value.__module__], name) is value, name
+    with pytest.raises(AttributeError, match="module 'secinvest' has no attribute 'no_such_name'"):
+        secinvest.no_such_name
 
 
 @pytest.mark.parametrize("steps", [str(10**6 + 1), "9" * 400])
@@ -420,7 +441,10 @@ def test_grid_ending_at_the_largest_float_writes_nothing_to_stderr():
 
 def test_package_import_does_not_load_the_cli():
     code = (
-        "import sys, secinvest; assert 'secinvest.cli' not in sys.modules; "
+        "import sys, secinvest; "
+        "loaded = {m for m in sys.modules if m.split('.')[0] == 'secinvest'}; "
+        "assert loaded == {'secinvest', 'secinvest.analysis', 'secinvest.errors', "
+        "'secinvest.model', 'secinvest.optimize', 'secinvest.scenario_io'}, loaded; "
         "from secinvest import run_cli; assert 'secinvest.cli' in sys.modules; "
         "assert len(secinvest.__all__) == 31"
     )

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from secinvest import (
@@ -154,6 +155,32 @@ class TestSvg:
         svg = render_curve_svg(grid, columns)
         assert svg.count("<polyline") == 4
         assert svg.startswith("<svg")
+
+
+@pytest.mark.parametrize(
+    "z, columns, error, message",
+    [
+        pytest.param([], [], DomainError, "z must be a nonempty 1-D sequence of numbers, got shape (0,)",
+                     id="empty-z"),
+        pytest.param(1.0, [], DomainError, "z must be a nonempty 1-D sequence of numbers, got shape ()",
+                     id="scalar-z"),
+        pytest.param([0.0, 1.0], [[1.0, 2.0], [1.0, 2.0, 3.0]], ContractError,
+                     "columns[1] must have the shape of z (2,), got (3,)", id="column-length"),
+        pytest.param([0.0, "1"], [[1.0, 2.0]], DomainError, "z must be a finite number, got '1'", id="string-z"),
+        pytest.param([0.0, 1.0], [[1.0, "x"]], DomainError, "columns[0] must be a finite number, got 'x'",
+                     id="string-column"),
+        pytest.param([0.0, 1.0], [[1.0, float("nan")]], DomainError, "columns[0] must be a finite number, got nan",
+                     id="nan-column"),
+        pytest.param(np.array([0.0, np.inf]), [[1.0, 2.0]], DomainError, "z must be a finite number, got inf",
+                     id="inf-z"),
+        pytest.param([0.0, 1.0], [np.array([1.0, -np.inf])], DomainError,
+                     "columns[0] must be a finite number, got -inf", id="inf-column"),
+    ],
+)
+def test_svg_inputs_are_checked(z, columns, error, message):
+    with pytest.raises(error) as info:
+        render_curve_svg(z, columns)
+    assert str(info.value) == message
 
 
 VALID_PERIODS = '[{"vulnerability": 0.5, "loss": 1, "alpha": 1, "beta": 1, "disruptive": 0}]'
