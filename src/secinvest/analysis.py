@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -96,9 +97,12 @@ def productivity_ratio(plan_a: InvestmentPlan, plan_b: InvestmentPlan) -> float:
     total_a = plan_a.total
     if total_a <= 0:
         raise DomainError("plan A must have a positive total investment")
-    ratio = plan_b.total / total_a
+    total_b = plan_b.total
+    ratio = total_b / total_a
     if not (math.isfinite(total_a) and math.isfinite(ratio)):
-        raise NumericError(f"productivity ratio of totals {plan_b.total} and {total_a} overflows a float")
+        raise NumericError(f"productivity ratio of totals {total_b} and {total_a} overflows a float")
+    if total_b > 0 and ratio < sys.float_info.min:  # 0 or a subnormal, short of digits
+        raise NumericError(f"productivity ratio of totals {total_b} and {total_a} underflows a float")
     return ratio
 
 

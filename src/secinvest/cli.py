@@ -206,9 +206,13 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
     try:
         sys.stdout.writelines(args.func(args))
     except ModelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return 0
+        message = exc
+    except UnicodeEncodeError as exc:  # e.g. a label that stdout's encoding cannot print
+        message = f"stdout cannot print the output: {exc}"
+    else:
+        return 0
+    print(f"error: {message}", file=sys.stderr)
+    return 1
 
 
 def main() -> None:

@@ -30,6 +30,9 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # largest float below the smallest one; the cap only ends searches whose tol
 # is finer than the float spacing near the optimum
 _GOLDEN_MAX_STEPS = 3100
+# grid points per block of grid_oracle: 256 KiB of floats, so a block and its
+# values stay in a 4 MiB L2 cache; 32768 and 65536 ran equally fast
+_ORACLE_BLOCK = 32768
 
 
 @dataclass(frozen=True)
@@ -132,15 +135,35 @@ def _uniform_grid(z_min: float, z_max: float, steps: int) -> np.ndarray:
 def grid_oracle(period: PeriodSpec, z_max: float, steps: int) -> float:
     """Brute-force maximizer over the uniform grid {0, z_max/steps, ..., z_max}.
 
-    The net benefit is computed in one buffer besides the grid. Ties break
-    toward the smallest z (np.argmax returns the first maximum).
+    The points are those of ``_uniform_grid(0.0, z_max, steps)``, formed and
+    scanned ``_ORACLE_BLOCK`` at a time, so a call holds a few blocks whatever
+    ``steps``. Ties break toward the smallest z: a block gives its first
+    maximum (np.argmax), and a later block wins only with a greater value.
     """
     _check("z_max", z_max, "loss")
     _check("steps", steps)
-    z = _uniform_grid(0.0, z_max, steps)
-    values = ebis(z, PeriodBatch.one(period))
-    values -= z
-    return float(z[int(np.argmax(values))])
+    z_max, steps = float(z_max), int(steps)
+    batch = PeriodBatch.one(period)
+    step = z_max / steps
+    best, best_z = -math.inf, 0.0
+    for first in range(0, steps + 1, _ORACLE_BLOCK):
+        z = np.arange(first, min(first + _ORACLE_BLOCK, steps + 1), dtype=float)
+        # linspace's points: i*step, or i/steps*z_max where step underflows to 0;
+        # i*step may overflow in the last point, which is z_max
+        with np.errstate(over="ignore"):
+            if step:
+                z *= step
+            else:
+                z /= steps
+                z *= z_max
+        if first + _ORACLE_BLOCK > steps:
+            z[-1] = z_max
+        values = ebis(z, batch)
+        values -= z
+        i = int(np.argmax(values))
+        if values[i] > best:
+            best, best_z = float(values[i]), float(z[i])
+    return best_z
 
 
 def _optima(batch: PeriodBatch) -> tuple[np.recarray, np.ndarray]:

@@ -137,6 +137,14 @@ class TestProductivityRatio:
         with pytest.raises(NumericError, match="overflows a float"):
             productivity_ratio(InvestmentPlan(amounts_a), InvestmentPlan(amounts_b))
 
+    @pytest.mark.parametrize("amounts_b", [(1e-300,), (5e-24,)])  # gave 0.0 and 5e-324
+    def test_underflow_raises(self, amounts_b):
+        with pytest.raises(NumericError, match="underflows a float"):
+            productivity_ratio(InvestmentPlan((1e300,)), InvestmentPlan(amounts_b))
+
+    def test_zero_total_b_gives_zero(self):
+        assert productivity_ratio(InvestmentPlan((1e300,)), InvestmentPlan((0.0,))) == 0.0
+
 
 class TestDominanceCheck:
     def test_zero_vulnerability_vacuously_true(self):

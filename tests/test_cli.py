@@ -337,8 +337,8 @@ def test_scenario_domain_errors_exit_1(field, raw, tmp_path, capsys):
     assert captured.out == ""
 
 
-def _run_python(*args):
-    env = dict(os.environ, PYTHONPATH=str(Path(secinvest.__file__).parents[1]))
+def _run_python(*args, **environ):
+    env = dict(os.environ, PYTHONPATH=str(Path(secinvest.__file__).parents[1]), **environ)
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, env=env, check=False
     )
@@ -349,6 +349,15 @@ def test_module_entry_point_writes_nothing_to_stderr():
     assert result.returncode == 0
     assert result.stderr == ""
     assert result.stdout.startswith("alpha,beta,")
+
+
+def test_label_that_stdout_cannot_encode_exits_1(scenario_file):
+    path = scenario_file("cafe.json", dict(ONE_PERIOD_VL10, label="caf\u00e9"))
+    result = _run_python("-m", "secinvest.cli", "optimize", path, PYTHONIOENCODING="ascii")
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: stdout cannot print the output: 'ascii' codec")
+    assert result.stderr.count("\n") == 1
 
 
 def test_every_public_name_resolves():

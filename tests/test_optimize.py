@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from secinvest import (
     DomainError,
@@ -18,6 +21,9 @@ from secinvest import (
     sbpf_eval,
 )
 from secinvest.model import PeriodBatch, ebis
+from secinvest.optimize import _ORACLE_BLOCK, _uniform_grid
+
+LARGEST = 1.7976931348623157e308
 
 
 def period(v=0.5, loss=20.0, alpha=1.0, beta=1.0, d=0):
@@ -134,6 +140,72 @@ class TestGridOracle:
             fused -= z
             assert fused.tobytes() == unfused.tobytes()
             assert grid_oracle(p, z_max, 10**4) == z[np.argmax(unfused)]
+
+    def test_memory_stays_within_a_few_blocks(self):
+        tracemalloc.start()
+        try:
+            grid_oracle(period(), 10.0, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the grid alone would take 8 MB, and its values 8 MB more
+        assert peak < 2 * 10**6
+
+
+_B = _ORACLE_BLOCK
+
+
+# linspace forms i/steps*z_max where z_max/steps underflows to 0: at 5e-324
+# and 3 steps its points are 0, 0, 5e-324, 5e-324, not 0, 0, 0, 5e-324
+@pytest.mark.parametrize("z_max, steps", [
+    (0.0, 1), (5e-324, 3), (5e-320, _B + 1), (10.0, 3 * _B + 7), (10.0, 2 * _B), (LARGEST, 3), (LARGEST, _B + 1),
+])
+def test_blocks_are_the_uniform_grid(monkeypatch, z_max, steps):
+    blocks = []
+
+    def recording_ebis(z, batch):
+        blocks.append(z.copy())
+        return ebis(z, batch)
+
+    monkeypatch.setattr("secinvest.optimize.ebis", recording_ebis)
+    grid_oracle(period(), z_max, steps)
+    assert max(map(len, blocks)) <= _B
+    assert np.concatenate(blocks).tobytes() == _uniform_grid(0.0, z_max, steps).tobytes()
+
+
+_periods = st.builds(
+    period,
+    v=st.floats(0.0, 1.0),
+    loss=st.floats(0.0, 1e30),
+    alpha=st.floats(0.01, 100.0),
+    beta=st.floats(1.0, 5.0),
+    d=st.integers(0, 1),
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    p=_periods,
+    z_max=st.one_of(
+        st.sampled_from([0.0, 5e-324, LARGEST]),
+        st.floats(0.0, 1e-300),  # subnormal steps, or ones that underflow to 0
+        st.floats(0.0, LARGEST),
+    ),
+    steps=st.one_of(st.sampled_from([1, 2, _B - 1, _B, _B + 1, 3 * _B + 7]), st.integers(1, 4 * _B)),
+)
+@example(period(v=0.0), 0.0, 3 * _B + 7)  # flat: every value ties at z = 0
+@example(period(v=0.0), 5e-324, 3 * _B + 7)
+@example(period(v=0.0), 5e-324, 3)  # i/steps*z_max differs from i*step here
+@example(period(), LARGEST, _B + 1)
+# ebis - z rounds to one value on either side of the first block's end; the
+# first block holds the first of them
+@example(period(v=1.0, loss=1e30), 2e15, 2 * _B)
+def test_blocks_give_the_first_argmax_over_the_whole_grid(p, z_max, steps):
+    z = _uniform_grid(0.0, z_max, steps)
+    values = ebis(z, PeriodBatch.one(p))
+    values -= z
+    expected = float(z[int(np.argmax(values))])
+    assert grid_oracle(p, z_max, steps).hex() == expected.hex()
 
 
 class TestOptimizeScenario:
