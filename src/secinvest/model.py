@@ -35,9 +35,10 @@ _DOMAIN = {
     "beta": (lambda x: x >= 1, "must be >= 1"),
     "tol": (lambda x: x > 0, "must be > 0"),
     "total": (lambda x: True, "may take either sign"),
-    # counts; a grid oracle needs one step, a curve grid two
+    # counts; a grid oracle needs one step, a curve grid two, and a grid
+    # oracle's indices must be distinct as floats
     "switch_index": (lambda x: isinstance(x, Integral) and x >= 0, "must be an integer >= 0"),
-    "steps": (lambda x: isinstance(x, Integral) and x >= 1, "must be an integer >= 1"),
+    "steps": (lambda x: isinstance(x, Integral) and 1 <= x <= 2**53, "must be an integer in [1, 2**53]"),
     "curve_steps": (lambda x: isinstance(x, Integral) and x >= 2, "must be an integer >= 2"),
 }
 

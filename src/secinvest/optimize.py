@@ -33,6 +33,9 @@ _GOLDEN_MAX_STEPS = 3100
 # grid points per block of grid_oracle: 256 KiB of floats, so a block and its
 # values stay in a 4 MiB L2 cache; 32768 and 65536 ran equally fast
 _ORACLE_BLOCK = 32768
+# grid_oracle's ranges split 16 ways down to leaves of 32 points: smaller
+# leaves scan fewer points near the peak, smaller fans take more levels
+_ORACLE_FAN, _ORACLE_LEAF = 16, 32
 
 
 @dataclass(frozen=True)
@@ -132,37 +135,79 @@ def _uniform_grid(z_min: float, z_max: float, steps: int) -> np.ndarray:
         return np.linspace(float(z_min), float(z_max), int(steps) + 1)
 
 
+def _grid_points(i: np.ndarray, z_max: float, steps: int) -> np.ndarray:
+    """``_uniform_grid(0.0, z_max, steps)`` at the ascending indices ``i``, as
+    linspace forms it: i*step, or i/steps*z_max where step underflows to 0;
+    i*step may overflow in the last point, which is z_max."""
+    step = z_max / steps
+    z = i.astype(float)
+    with np.errstate(over="ignore"):
+        if step:
+            z *= step
+        else:
+            z /= steps
+            z *= z_max
+    if i[-1] == steps:
+        z[-1] = z_max
+    return z
+
+
 def grid_oracle(period: PeriodSpec, z_max: float, steps: int) -> float:
     """Brute-force maximizer over the uniform grid {0, z_max/steps, ..., z_max}.
 
-    The points are those of ``_uniform_grid(0.0, z_max, steps)``, formed and
-    scanned ``_ORACLE_BLOCK`` at a time, so a call holds a few blocks whatever
-    ``steps``. Ties break toward the smallest z: a block gives its first
-    maximum (np.argmax), and a later block wins only with a greater value.
+    The first maximum of ebis(z) - z over ``_uniform_grid(0.0, z_max, steps)``,
+    bit for bit, found by branch and bound on the grid's indices. As ebis
+    rises in z, no value on a range [a, b] exceeds (ebis(z_b) + pad) - z_a,
+    with ``pad`` for the last-bit wobble of numpy's pow; concavity and the
+    closed form are not used. Ranges are split ``_ORACLE_FAN`` ways, depth
+    first and left to right, and one whose bound lies strictly below the best
+    value seen is dropped, as it holds no maximum. Ranges of ``_ORACLE_LEAF``
+    points are scanned in index order, and a later block wins only with a
+    greater value, so ties break toward the smallest z. Each call of ebis
+    takes at most ``_ORACLE_BLOCK`` points. The bound is loose by about a
+    range's width in z, so the points scanned grow as sqrt(steps) near a
+    smooth peak: 1e6 steps take a few thousand, 10**12 a few million.
     """
     _check("z_max", z_max, "loss")
     _check("steps", steps)
     z_max, steps = float(z_max), int(steps)
     batch = PeriodBatch.one(period)
-    step = z_max / steps
-    best, best_z = -math.inf, 0.0
-    for first in range(0, steps + 1, _ORACLE_BLOCK):
-        z = np.arange(first, min(first + _ORACLE_BLOCK, steps + 1), dtype=float)
-        # linspace's points: i*step, or i/steps*z_max where step underflows to 0;
-        # i*step may overflow in the last point, which is z_max
+    # pow is within an ulp, so ebis may dip by a few ulps of v*L where it
+    # should rise; among subnormals, by a unit of 5e-324 in S and in ebis
+    pad = (8 * math.ulp(1.0) * batch.v + 1e-322) * batch.loss + 1e-322
+    width = _ORACLE_LEAF
+    while width <= steps:
+        width *= _ORACLE_FAN
+    incumbent, best, best_z = -math.inf, -math.inf, 0.0
+    live = [(np.zeros(1, np.int64), width)]  # ascending range starts, and their width
+    while live:
+        start, width = live.pop()
+        child = width // _ORACLE_FAN if width > _ORACLE_LEAF else 1
+        head = _ORACLE_BLOCK * child // width
+        if start.size > head:
+            live.append((start[head:], width))
+            start = start[:head]
+        start = (start[:, None] + np.arange(0, width, child)).ravel()
+        start = start[: np.searchsorted(start, steps, "right")]
+        last = np.minimum(start + (child - 1), steps)
+        z_end = _grid_points(last, z_max, steps)
+        ebis_end = ebis(z_end, batch)
+        values = ebis_end - z_end
+        if child == 1:  # the points of leaves, in index order
+            j = int(np.argmax(values))
+            if values[j] > best:
+                best, best_z = float(values[j]), float(z_end[j])
+            continue
+        incumbent = max(incumbent, float(values.max()))
         with np.errstate(over="ignore"):
-            if step:
-                z *= step
-            else:
-                z /= steps
-                z *= z_max
-        if first + _ORACLE_BLOCK > steps:
-            z[-1] = z_max
-        values = ebis(z, batch)
-        values -= z
-        i = int(np.argmax(values))
-        if values[i] > best:
-            best, best_z = float(values[i]), float(z[i])
+            bound = (ebis_end + pad) - _grid_points(start, z_max, steps)
+        if last[-1] == steps:
+            # where step is subnormal, linspace's z_max may lie below the
+            # point before it, so the range ending there is never dropped
+            bound[-1] = math.inf
+        start = start[bound >= incumbent]
+        if start.size:
+            live.append((start, child))
     return best_z
 
 

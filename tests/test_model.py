@@ -314,6 +314,9 @@ class TestLibraryArguments:
         ("z", lambda: ebis_eval(math.inf, period())),
         ("z_max", lambda: golden_section_optimum(period(), True, 1e-9)),
         ("steps", lambda: grid_oracle(period(), 10.0, 2.5)),
+        # beyond 2**53, float indices are no longer distinct
+        ("steps", lambda: grid_oracle(period(), 10.0, 2**53 + 1)),
+        ("steps", lambda: grid_oracle(period(), 10.0, 2**64)),
         ("steps", lambda: emit_curve_csv(period(), 0, 1, 2.7)),
         ("threshold", lambda: classify_disruptive(1, 2, True)),
         ("switch_index", lambda: ebis_mix_curve(period(), period(tech=T1), 1.5, [0.0, 1.0])),

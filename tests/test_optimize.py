@@ -21,7 +21,7 @@ from secinvest import (
     sbpf_eval,
 )
 from secinvest.model import PeriodBatch, ebis
-from secinvest.optimize import _ORACLE_BLOCK, _uniform_grid
+from secinvest.optimize import _ORACLE_BLOCK, _grid_points, _uniform_grid
 
 LARGEST = 1.7976931348623157e308
 
@@ -161,24 +161,78 @@ _B = _ORACLE_BLOCK
     (0.0, 1), (5e-324, 3), (5e-320, _B + 1), (10.0, 3 * _B + 7), (10.0, 2 * _B), (LARGEST, 3), (LARGEST, _B + 1),
 ])
 def test_blocks_are_the_uniform_grid(monkeypatch, z_max, steps):
-    blocks = []
+    """Each array handed to ebis is the grid at the indices it stands for,
+    and each index is scanned or lies in a range whose bound, ebis at the
+    range's end minus z at its start, lies below the maximum found."""
+    calls = []  # [indices, points, ebis there or None], one per set of points formed
+
+    def recording_points(i, *args):
+        z = _grid_points(i, *args)
+        calls.append([i.copy(), z, None])
+        return z
 
     def recording_ebis(z, batch):
-        blocks.append(z.copy())
-        return ebis(z, batch)
+        out = ebis(z, batch)
+        next(call for call in reversed(calls) if call[1] is z)[2] = out.copy()
+        return out
 
+    monkeypatch.setattr("secinvest.optimize._grid_points", recording_points)
     monkeypatch.setattr("secinvest.optimize.ebis", recording_ebis)
     grid_oracle(period(), z_max, steps)
-    assert max(map(len, blocks)) <= _B
-    assert np.concatenate(blocks).tobytes() == _uniform_grid(0.0, z_max, steps).tobytes()
+    grid = _uniform_grid(0.0, z_max, steps)
+    best = max(float((values - z).max()) for _, z, values in calls if values is not None)
+    covered = np.zeros(steps + 1, bool)
+    for k, (i, z, values) in enumerate(calls):
+        if values is None:
+            continue  # the starts of the ranges that the call before ends
+        assert len(z) <= _B
+        assert z.tobytes() == grid[i].tobytes()
+        if k + 1 < len(calls) and calls[k + 1][2] is None:
+            for start, end, at_end in zip(calls[k + 1][0].tolist(), i.tolist(), values.tolist()):
+                if at_end - grid[start] < best:
+                    covered[start:end + 1] = True
+        else:  # a scan
+            covered[i] = True
+    assert covered.all()
+
+
+def test_huge_grid_in_bounded_work(monkeypatch):
+    """10**12 steps take 7.3 million points of ebis (measured), not 10**12,
+    and the exact first maximum."""
+    sizes = []
+
+    def counting_ebis(z, batch):
+        sizes.append(z.size)
+        return ebis(z, batch)
+
+    monkeypatch.setattr("secinvest.optimize.ebis", counting_ebis)
+    p, z_max, steps = period(), 10.0, 10**12
+    tracemalloc.start()
+    try:
+        best_z = grid_oracle(p, z_max, steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(sizes) <= 8 * 10**6
+    assert peak < 8 * 10**6  # 3 MB measured: a few blocks per level
+    # ebis - z is flat to its rounding over some 6000 steps either side of z*,
+    # so the first maximum lies there, not within 2 steps; as the objective is
+    # concave, a full scan of 2*10**5 points around z* holds it
+    centre = round(closed_form_optimum(p) / (z_max / steps))
+    window = np.arange(centre - 10**5, centre + 10**5, dtype=float) * (z_max / steps)
+    values = ebis(window, PeriodBatch.one(p))
+    values -= window
+    first = int(np.argmax(values))
+    assert max(values[0], values[-1]) < values[first]
+    assert best_z == window[first]
 
 
 _periods = st.builds(
     period,
-    v=st.floats(0.0, 1.0),
-    loss=st.floats(0.0, 1e30),
+    v=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 5e-324, 1e-310])),
+    loss=st.one_of(st.floats(0.0, 1e30), st.floats(0.0, 100.0)),
     alpha=st.floats(0.01, 100.0),
-    beta=st.floats(1.0, 5.0),
+    beta=st.one_of(st.sampled_from([1.0, 2.0]), st.floats(1.0, 5.0)),
     d=st.integers(0, 1),
 )
 
@@ -190,16 +244,27 @@ _periods = st.builds(
         st.sampled_from([0.0, 5e-324, LARGEST]),
         st.floats(0.0, 1e-300),  # subnormal steps, or ones that underflow to 0
         st.floats(0.0, LARGEST),
+        st.floats(0.0, 100.0),  # an interior peak, for a loss up to 100
     ),
-    steps=st.one_of(st.sampled_from([1, 2, _B - 1, _B, _B + 1, 3 * _B + 7]), st.integers(1, 4 * _B)),
+    steps=st.one_of(
+        st.sampled_from([1, 2, _B - 1, _B, _B + 1, 3 * _B + 7, 2 * 10**5]), st.integers(1, 2 * 10**5)
+    ),
 )
 @example(period(v=0.0), 0.0, 3 * _B + 7)  # flat: every value ties at z = 0
 @example(period(v=0.0), 5e-324, 3 * _B + 7)
 @example(period(v=0.0), 5e-324, 3)  # i/steps*z_max differs from i*step here
 @example(period(), LARGEST, _B + 1)
-# ebis - z rounds to one value on either side of the first block's end; the
-# first block holds the first of them
-@example(period(v=1.0, loss=1e30), 2e15, 2 * _B)
+# ebis - z rounds to one value on either side of the end of the first block
+# scanned; the first block holds the first of them
+@example(period(v=1.0, loss=1e30), 2e15, 4 * _B)
+# interior peaks, pruned on several levels; k = 2 takes the squaring path
+@example(period(), 20.0, 2 * 10**5)
+@example(period(beta=1.0, d=1), 20.0, 2 * 10**5)
+@example(period(beta=2.0, d=0), 20.0, 2 * 10**5)
+@example(period(v=1e-310, loss=1e300, alpha=1e12), 1e-10, 2 * 10**5)  # subnormal v
+# a subnormal step: linspace's last point, z_max, lies below the one before
+# it, where ebis - z still rises
+@example(period(v=1.0, loss=1.0, alpha=1e308), 1600 * 5e-324, 1000)
 def test_blocks_give_the_first_argmax_over_the_whole_grid(p, z_max, steps):
     z = _uniform_grid(0.0, z_max, steps)
     values = ebis(z, PeriodBatch.one(p))
