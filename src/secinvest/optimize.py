@@ -33,9 +33,8 @@ _GOLDEN_MAX_STEPS = 3100
 # grid points per block of grid_oracle: 256 KiB of floats, so a block and its
 # values stay in a 4 MiB L2 cache; 32768 and 65536 ran equally fast
 _ORACLE_BLOCK = 32768
-# grid_oracle's ranges split 16 ways down to leaves of 32 points: smaller
-# leaves scan fewer points near the peak, smaller fans take more levels
-_ORACLE_FAN, _ORACLE_LEAF = 16, 32
+# grid_oracle splits ranges 16 ways; smaller fans take more levels of calls
+_ORACLE_FAN = 16
 
 
 @dataclass(frozen=True)
@@ -161,12 +160,12 @@ def grid_oracle(period: PeriodSpec, z_max: float, steps: int) -> float:
     with ``pad`` for the last-bit wobble of numpy's pow; concavity and the
     closed form are not used. Ranges are split ``_ORACLE_FAN`` ways, depth
     first and left to right, and one whose bound lies strictly below the best
-    value seen is dropped, as it holds no maximum. Ranges of ``_ORACLE_LEAF``
-    points are scanned in index order, and a later block wins only with a
-    greater value, so ties break toward the smallest z. Each call of ebis
-    takes at most ``_ORACLE_BLOCK`` points. The bound is loose by about a
-    range's width in z, so the points scanned grow as sqrt(steps) near a
-    smooth peak: 1e6 steps take a few thousand, 10**12 a few million.
+    value seen is dropped, as it holds no maximum. The points of the leaves
+    are scanned in index order, and a later block wins only with a greater
+    value, so ties break toward the smallest z. Each call of ebis takes at
+    most ``_ORACLE_BLOCK`` points. The bound is loose by about a range's
+    width in z, so near a smooth peak 1e6 steps scan 2e5 to 4e5 points in 7
+    to 14 calls of ebis, and 10**12 steps 7.3 million points.
     """
     _check("z_max", z_max, "loss")
     _check("steps", steps)
@@ -175,21 +174,34 @@ def grid_oracle(period: PeriodSpec, z_max: float, steps: int) -> float:
     # pow is within an ulp, so ebis may dip by a few ulps of v*L where it
     # should rise; among subnormals, by a unit of 5e-324 in S and in ebis
     pad = (8 * math.ulp(1.0) * batch.v + 1e-322) * batch.loss + 1e-322
-    width = _ORACLE_LEAF
+    # Near a peak the points scanned grow as sqrt(leaf * steps). Leaves of
+    # steps/8 points up to 2**20 steps (whole blocks where wider than one)
+    # and 2**37/steps beyond, but at least 32, keep them near a few blocks up
+    # to 2**32 steps, so that a call spends its time in block-sized
+    # arithmetic, as a full scan does. Small calls spend it in numpy's
+    # per-call overhead, which slows more than arithmetic on a loaded CPU.
+    leaf = max(32, min(steps // 8, 2**37 // steps))
+    if leaf > _ORACLE_BLOCK:
+        leaf -= leaf % _ORACLE_BLOCK
+    width = leaf
     while width <= steps:
         width *= _ORACLE_FAN
     incumbent, best, best_z = -math.inf, -math.inf, 0.0
     live = [(np.zeros(1, np.int64), width)]  # ascending range starts, and their width
     while live:
         start, width = live.pop()
-        child = width // _ORACLE_FAN if width > _ORACLE_LEAF else 1
+        if width == leaf > _ORACLE_BLOCK:  # a wide leaf: each of its blocks is scanned
+            start = (start[:, None] + np.arange(0, width, _ORACLE_BLOCK)).ravel()
+            live.append((start[start <= steps], _ORACLE_BLOCK))
+            continue
+        child = width // _ORACLE_FAN if width > min(leaf, _ORACLE_BLOCK) else 1
         head = _ORACLE_BLOCK * child // width
         if start.size > head:
             live.append((start[head:], width))
             start = start[:head]
         start = (start[:, None] + np.arange(0, width, child)).ravel()
         start = start[: np.searchsorted(start, steps, "right")]
-        last = np.minimum(start + (child - 1), steps)
+        last = np.minimum(start + (child - 1), steps) if child > 1 else start
         z_end = _grid_points(last, z_max, steps)
         ebis_end = ebis(z_end, batch)
         values = ebis_end - z_end

@@ -159,6 +159,9 @@ _B = _ORACLE_BLOCK
 # and 3 steps its points are 0, 0, 5e-324, 5e-324, not 0, 0, 0, 5e-324
 @pytest.mark.parametrize("z_max, steps", [
     (0.0, 1), (5e-324, 3), (5e-320, _B + 1), (10.0, 3 * _B + 7), (10.0, 2 * _B), (LARGEST, 3), (LARGEST, _B + 1),
+    # leaves of 3 blocks, the last one cut short by steps; leaves of 4 blocks,
+    # the last one holding only the point at steps, where the maximum lies
+    (10.0, 10**6), (1.0, 2**20),
 ])
 def test_blocks_are_the_uniform_grid(monkeypatch, z_max, steps):
     """Each array handed to ebis is the grid at the indices it stands for,
@@ -262,6 +265,10 @@ _periods = st.builds(
 @example(period(beta=1.0, d=1), 20.0, 2 * 10**5)
 @example(period(beta=2.0, d=0), 20.0, 2 * 10**5)
 @example(period(v=1e-310, loss=1e300, alpha=1e12), 1e-10, 2 * 10**5)  # subnormal v
+# leaves wider than a block: 3 blocks at 10**6 steps, 4 at 2**20, whose last
+# leaf holds only the point at steps, here the maximum
+@example(period(), 20.0, 10**6)
+@example(period(beta=2.0, d=0), 1.0, 2**20)
 # a subnormal step: linspace's last point, z_max, lies below the one before
 # it, where ebis - z still rises
 @example(period(v=1.0, loss=1.0, alpha=1e308), 1600 * 5e-324, 1000)
