@@ -146,13 +146,11 @@ def optimum_shift_sweep(
     sorted lists, so the output stays deterministic.
     """
     axes = [list(values) for values in (alphas, betas, vulnerabilities, losses)]
-    shape = tuple(map(len, axes))
-    count = math.prod(shape)
+    count = math.prod(map(len, axes))
     if count > MAX_GRID:
         raise DomainError(f"need at most {MAX_GRID} sweep tuples, got {count}")
-    table = np.recarray(shape, dtype=_SWEEP_DTYPE)
     if not count:
-        return table.reshape(-1)
+        return np.recarray(0, dtype=_SWEEP_DTYPE)
     # before sorting (which a value that is no number fails): tuple 0 through the types, then
     # the loss, v, beta and alpha axes; the first to fail has the first bad tuple's error
     alpha, beta, v, loss = (values[0] for values in axes)
@@ -161,16 +159,11 @@ def optimum_shift_sweep(
         bad = _first_fault(values, field)
         if bad < len(values):
             _check(field, values[bad])
-    axes = [sorted(values) for values in axes]
-    # flattened, the "ij" grid is in the order of itertools.product; each
-    # sparse axis broadcasts into its column
-    for name, column in zip(_SWEEP_DTYPE.names, np.meshgrid(*axes, indexing="ij", sparse=True)):
-        table[name] = column
-    table = table.reshape(-1)
-    batch = PeriodBatch(table.alpha, table.beta, table.vulnerability, table.loss)
-    z0 = table["z_star_baseline"] = z_star(batch)
-    zd = table["z_star_disrupted"] = z_star(batch._replace(k=batch.k + 1.0))
-    table["shift_direction"] = np.select(
-        [zd < z0 - SHIFT_TOLERANCE, zd > z0 + SHIFT_TOLERANCE], ["left", "right"], "none"
-    )
-    return table
+    # as floats: an int axis would make an int grid, whose alpha*k*v*L wraps
+    axes = [np.array(sorted(values), dtype=float) for values in axes]
+    # raveled, the "ij" grid is in the order of itertools.product
+    batch = PeriodBatch(*(column.ravel() for column in np.meshgrid(*axes, indexing="ij")))
+    z0 = z_star(batch)
+    zd = z_star(batch._replace(k=batch.k + 1.0))
+    direction = np.select([zd < z0 - SHIFT_TOLERANCE, zd > z0 + SHIFT_TOLERANCE], ["left", "right"], "none")
+    return np.rec.fromarrays([*batch, z0, zd, direction], dtype=_SWEEP_DTYPE)

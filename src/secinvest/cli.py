@@ -1,9 +1,10 @@
 """Command-line surface.
 
-Subcommands: optimize, curve, mix-curve, delta-z, sweep. Each handler
-computes its result, then yields the text of its stdout; ``run_cli`` writes
-it, so an input error writes nothing there. Data goes to stdout, diagnostics
-to stderr. Exit 0 on success, 1 on domain/contract errors, 2 on usage errors.
+Subcommands: optimize, curve, mix-curve, delta-z, sweep. Each handler computes
+its result (and writes its SVG), then returns the arguments of ``table_text``;
+``run_cli`` alone writes that text, so an error writes nothing to stdout. Data
+goes to stdout, diagnostics to stderr. Exit 0 on success, 1 on domain/contract
+errors, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,9 +25,9 @@ from .scenario_io import (
     _mix_table,
     _z_grid,
     fmt,
-    fmt_rows,
     parse_scenario,
     render_curve_svg,
+    table_text,
 )
 
 
@@ -72,40 +73,40 @@ def _period_from_args(args, alpha=None, beta=None, disruptive=0) -> PeriodSpec:
     )
 
 
-def _cmd_optimize(args) -> Iterator[str]:
+def _cmd_optimize(args) -> tuple:
     scenario = _load_scenario(args.scenario)
     result = optimize_scenario(scenario)
     table = result.per_period
     z, ebis = table.z_star, table.ebis_at_optimum
-    yield f"scenario={scenario.label}\nperiods={scenario.horizon}\n"
-    yield from fmt_rows(
+    return (
+        f"scenario={scenario.label}\nperiods={scenario.horizon}\n",
         "period %d: z_star=%.6f breach_probability=%.6f ebis=%.6f enbis=%.6f method=closed_form",
         [np.arange(1, len(table) + 1), z, table.breach_probability_at_optimum, ebis, ebis - z],
+        f"enbis_total={fmt(result.enbis_total)}\n",
     )
-    yield f"enbis_total={fmt(result.enbis_total)}\n"
 
 
 def _grid_args(args) -> tuple:  # --z-max is v*L by default
     return args.z_min, args.vulnerability * args.loss if args.z_max is None else args.z_max, args.steps
 
 
-def _cmd_curve(args) -> Iterator[str]:
-    lines, grid, columns = _curve_table(_period_from_args(args), *_grid_args(args), args.include_disrupted)
-    yield from lines
+def _cmd_curve(args) -> tuple:
+    table = _curve_table(_period_from_args(args), *_grid_args(args), args.include_disrupted)
     if args.svg is not None:
-        _write_svg(args.svg, grid, *columns)
+        _write_svg(args.svg, *table[2])  # the grid, then the curves
+    return table
 
 
-def _cmd_mix_curve(args) -> Iterator[str]:
+def _cmd_mix_curve(args) -> tuple:
     period_pre = _period_from_args(args)
     period_post = _period_from_args(args, args.alpha_post, args.beta_post, 1)
-    lines, grid, mix = _mix_table(period_pre, period_post, args.switch_index, _z_grid(*_grid_args(args)))
-    yield from lines
+    table = _mix_table(period_pre, period_post, args.switch_index, _z_grid(*_grid_args(args)))
     if args.svg is not None:
-        _write_svg(args.svg, grid, mix)
+        _write_svg(args.svg, *table[2][2:])  # the grid, then the curve
+    return table
 
 
-def _cmd_delta_z(args) -> Iterator[str]:
+def _cmd_delta_z(args) -> tuple:
     scenario_a = _load_scenario(args.scenario_a)
     scenario_b = _load_scenario(args.scenario_b)
     # the vulnerability and loss columns, compared as the file gave them
@@ -121,15 +122,14 @@ def _cmd_delta_z(args) -> Iterator[str]:
         plan_a = _plan_from_flag(args.plan_a, "--plan-a", scenario_a)
         plan_b = _plan_from_flag(args.plan_b, "--plan-b", scenario_b)
     report = delta_z(scenario_a, plan_a, scenario_b, plan_b, args.threshold)
-    yield f"delta_z={fmt(report.delta_z)}\n"
-    yield f"enbis_a={fmt(report.enbis_a)}\n"
-    yield f"enbis_b={fmt(report.enbis_b)}\n"
-    yield f"period_count={report.period_count}\n"
-    yield f"classified_disruptive={'true' if report.classified_disruptive else 'false'}\n"
-    yield f"threshold={fmt(report.threshold_used)}\n"
+    flag = "true" if report.classified_disruptive else "false"
+    row = ("delta_z=%.6f\nenbis_a=%.6f\nenbis_b=%.6f\n"
+           "period_count=%d\nclassified_disruptive=%s\nthreshold=%.6f")
+    values = report.delta_z, report.enbis_a, report.enbis_b, report.period_count, flag, report.threshold_used
+    return "", row, [[value] for value in values], ""  # one row
 
 
-def _cmd_sweep(args) -> Iterator[str]:
+def _cmd_sweep(args) -> tuple:
     table = optimum_shift_sweep(
         _parse_values(args.alpha, "--alpha"),
         _parse_values(args.beta, "--beta"),
@@ -137,8 +137,7 @@ def _cmd_sweep(args) -> Iterator[str]:
         _parse_values(args.loss, "--loss"),
     )
     columns = [table[name] for name in table.dtype.names]
-    yield ",".join(table.dtype.names) + "\n"
-    yield from fmt_rows("%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,%s", columns)
+    return ",".join(table.dtype.names) + "\n", "%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,%s", columns, ""
 
 
 def _add_curve_flags(parser: argparse.ArgumentParser) -> None:
@@ -204,7 +203,7 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        sys.stdout.writelines(args.func(args))
+        sys.stdout.writelines(table_text(*args.func(args)))
     except ModelError as exc:
         message = exc
     except UnicodeEncodeError as exc:  # e.g. a label that stdout's encoding cannot print

@@ -133,21 +133,20 @@ class PeriodSpec:
 class Scenario:
     """An ordered, nonempty sequence of periods; the unit of optimization.
 
-    It is held as ``columns``, one tuple of values per field of
-    ``PERIOD_FIELDS``; its float arrays ``batch`` and, for a parsed file, its
-    ``periods`` are built from them when first read.
+    It is held only as ``columns``, one tuple of values per field of
+    ``PERIOD_FIELDS``, however it was built; its float arrays ``batch`` and
+    its ``periods`` are views built from them when first read.
     """
 
     label: str
     columns: tuple[tuple, ...]
 
     def __init__(self, label: str, periods: Iterable[PeriodSpec]) -> None:
-        periods = tuple(periods)
-        if not periods:
+        rows = [(p.vulnerability, p.loss, p.technology.alpha, p.technology.beta, p.technology.disruptive)
+                for p in periods]
+        if not rows:
             raise DomainError("a scenario needs at least one period")
-        rows = ((p.vulnerability, p.loss, p.technology.alpha, p.technology.beta, p.technology.disruptive)
-                for p in periods)
-        self.__dict__.update(label=label, columns=tuple(zip(*rows)), periods=periods)
+        self.__dict__.update(label=label, columns=tuple(zip(*rows)))
 
     @classmethod
     def of_columns(cls, label: str, columns: tuple[tuple, ...]) -> "Scenario":

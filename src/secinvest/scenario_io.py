@@ -131,6 +131,11 @@ def fmt_rows(row: str, columns: Sequence, end: str = "\n") -> Iterator[str]:
         yield block.decode("utf-8", "surrogatepass")  # a label's lone surrogate, as % kept it
 
 
+def table_text(head: str, row: str, columns: Sequence, foot: str) -> Iterator[str]:
+    """The text of one table: ``head``, ``fmt_rows(row, columns)``, then ``foot``."""
+    return chain([head], fmt_rows(row, columns), [foot])
+
+
 def parse_scenario(document: str) -> Scenario:
     """Parse a scenario JSON document into the columns of its periods. The
     domain types' rules check each column as a whole; the first faulty entry
@@ -203,19 +208,18 @@ def _z_grid(z_min: float, z_max: float, steps: int) -> np.ndarray:
 
 
 def _curve_table(period: PeriodSpec, z_min: float, z_max: float, steps: int, include_disrupted: bool):
-    """The lines of ``emit_curve_csv``, formatted as they are read, with the
-    grid and the curve columns they print."""
+    """The ``table_text`` arguments of ``emit_curve_csv``; its columns are
+    the grid, then each curve's ebis and enbis."""
     grid = _z_grid(z_min, z_max, steps)
     periods = [period]
     if include_disrupted:
         periods.append(replace(period, technology=replace(period.technology, disruptive=1)))
     curves = [ebis_eval(grid, p) for p in periods]
-    columns = [column for ebis in curves for column in (ebis, ebis - grid)]
+    columns = [grid, *(column for ebis in curves for column in (ebis, ebis - grid))]
     names = "0d"[: len(periods)]
     header = "z" + "".join(f",ebis_{n},enbis_{n}" for n in names)
-    rows = fmt_rows(",".join(["%.6f"] * (len(columns) + 1)), [grid, *columns])
-    footers = (f"# z_star_{n}={fmt(closed_form_optimum(p))}\n" for p, n in zip(periods, names))
-    return chain([header + "\n"], rows, footers), grid, columns
+    footers = "".join(f"# z_star_{n}={fmt(closed_form_optimum(p))}\n" for p, n in zip(periods, names))
+    return header + "\n", ",".join(["%.6f"] * len(columns)), columns, footers
 
 
 def emit_curve_csv(
@@ -228,17 +232,16 @@ def emit_curve_csv(
     """Benefit curves on a uniform z grid, optionally with the disrupted
     (dummy raised to 1) counterpart alongside; each curve is one array
     evaluation, and footer rows carry each curve's optimal investment."""
-    return "".join(_curve_table(period, z_min, z_max, steps, include_disrupted)[0])
+    return "".join(table_text(*_curve_table(period, z_min, z_max, steps, include_disrupted)))
 
 
 def _mix_table(period_pre: PeriodSpec, period_post: PeriodSpec, switch_index: int, z_grid: Sequence[float]):
-    """The lines of ``emit_mix_csv``, formatted as they are read, with the grid and the curve."""
+    """The ``table_text`` arguments of ``emit_mix_csv``; its last two columns are the grid and the curve."""
     ebis = ebis_mix_curve(period_pre, period_post, switch_index, z_grid)
     grid = np.asarray(z_grid, dtype=float)
     index = np.arange(grid.size)
     branch = np.where(index < switch_index, "pre", "post")
-    rows = fmt_rows("%d,%s,%.6f,%.6f", [index, branch, grid, ebis])
-    return chain(["index,branch,z,ebis\n"], rows), grid, ebis
+    return "index,branch,z,ebis\n", "%d,%s,%.6f,%.6f", [index, branch, grid, ebis], ""
 
 
 def emit_mix_csv(
@@ -249,7 +252,7 @@ def emit_mix_csv(
 ) -> str:
     """Piecewise pre/post curve rows from the array of ``ebis_mix_curve``;
     row i is labelled ``pre`` when i < switch_index, else ``post``."""
-    return "".join(_mix_table(period_pre, period_post, switch_index, z_grid)[0])
+    return "".join(table_text(*_mix_table(period_pre, period_post, switch_index, z_grid)))
 
 
 def _as_printed(x) -> np.ndarray:

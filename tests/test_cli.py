@@ -228,7 +228,8 @@ def test_svg_to_an_unwritable_path_exits_1(command, tmp_path, capsys):
     if command == "mix-curve":
         argv += ["--switch-index", "2"]
     assert run_cli(argv) == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""  # the CSV is not printed either
     assert err.startswith(f"error: cannot write SVG file {svg}: ")
     assert "Traceback" not in err
 
@@ -241,7 +242,8 @@ def test_empty_svg_path_exits_1(command, capsys):
     if command == "mix-curve":
         argv += ["--switch-index", "2"]
     assert run_cli(argv) == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("error: cannot write SVG file : ")
     assert "Traceback" not in err
 

@@ -151,7 +151,7 @@ class TestMixCsvEdges:
 
 class TestSvg:
     def test_polylines_per_column(self):
-        _, grid, columns = _curve_table(period(), 0.0, 5.0, 10, include_disrupted=True)
+        _, _, (grid, *columns), _ = _curve_table(period(), 0.0, 5.0, 10, include_disrupted=True)
         svg = render_curve_svg(grid, columns)
         assert svg.count("<polyline") == 4
         assert svg.startswith("<svg")

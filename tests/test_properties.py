@@ -18,6 +18,7 @@ import io
 import itertools
 import json
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -35,6 +36,7 @@ from secinvest import (
     Scenario,
     TechnologyProfile,
     closed_form_optimum,
+    delta_z,
     ebis_eval,
     emit_curve_csv,
     emit_mix_csv,
@@ -687,6 +689,53 @@ def test_cli_curve_output_is_finite(v, loss, alpha, beta, steps):
         assert "nan" not in out and "inf" not in out
     else:  # only the default grid [0, v*L] can be empty
         assert v * loss == 0.0 and err.startswith("error: ")
+
+
+# losses up to 1e300 give totals from 2**52 / 1e6 on, which fmt_rows prints by %
+delta_z_periods = st.builds(make_period, vulnerabilities, st.one_of(st.floats(0.0, 1e3), st.floats(1e12, 1e300)),
+                            st.floats(1e-3, 1e3), st.floats(1.0, 10.0), dummies)
+
+
+def period_file(path, periods):
+    rows = [dict(zip(VALID, row)) for row in zip(*Scenario("x", periods).columns)]
+    path.write_text(json.dumps({"label": "x", "periods": rows}))
+    return str(path)
+
+
+@CLI_PROPERTY
+@given(
+    st.lists(st.tuples(delta_z_periods, delta_z_periods, st.floats(0.0, 1e300), st.floats(0.0, 1e3)),
+             min_size=1, max_size=4),
+    st.sampled_from(["plans", "twin", "optimize"]),
+    st.floats(0.0, 1.0),
+)
+@example([(make_period(0.5, 1e300, 1.0, 1.0, 0), make_period(0.5, 1e12, 1.0, 1.0, 1), 3e299, 1.0)], "plans", 0.1)
+@example([(make_period(0.5, 100.0, 1.0, 1.0, 0), make_period(0.5, 1.0, 1.0, 1.0, 0), 1.0, 1.0)], "twin", 0.1)
+def test_delta_z_lines_are_the_report_fields(scenario_dir, rows, mode, threshold):
+    periods_a = [a for a, _, _, _ in rows]
+    # "twin": B is A with each loss one ulp up, at the same plan, so delta_z is a tiny
+    # negative (or zero) that prints as -0.000000
+    periods_b = ([replace(a, loss=math.nextafter(a.loss, math.inf)) for a in periods_a] if mode == "twin"
+                 else [b for _, b, _, _ in rows])
+    plan_a = InvestmentPlan(tuple(z for _, _, z, _ in rows))
+    plan_b = plan_a if mode == "twin" else InvestmentPlan(tuple(z for _, _, _, z in rows))
+    if mode == "optimize":
+        plan_a, plan_b = (optimize_scenario(Scenario("x", ps)).plan for ps in (periods_a, periods_b))
+        flags = ["--optimize"]
+    else:
+        flags = [f"--plan-{n}={','.join(map(repr, plan.amounts))}" for n, plan in zip("ab", (plan_a, plan_b))]
+    a, b = period_file(scenario_dir / "a.json", periods_a), period_file(scenario_dir / "b.json", periods_b)
+    code, out, err = run(["delta-z", a, b, *flags, f"--threshold={threshold!r}"])
+    try:
+        report = delta_z(Scenario("x", periods_a), plan_a, Scenario("x", periods_b), plan_b, threshold)
+    except ModelError as exc:
+        assert (code, out, err) == (1, "", f"error: {exc}\n")
+        return
+    flag = "true" if report.classified_disruptive else "false"
+    assert out == (f"delta_z={fmt(report.delta_z)}\nenbis_a={fmt(report.enbis_a)}\n"
+                   f"enbis_b={fmt(report.enbis_b)}\nperiod_count={report.period_count}\n"
+                   f"classified_disruptive={flag}\nthreshold={fmt(report.threshold_used)}\n")
+    assert (code, err) == (0, "")
 
 
 def csv_cells_from(csv_text, first):
