@@ -223,11 +223,16 @@ class PeriodBatch(NamedTuple):
 
 # alpha*z + 1 or its power may overflow to inf, which correctly gives S = 0
 @np.errstate(over="ignore")
-def breach(z: ArrayLike, batch: PeriodBatch) -> np.ndarray:
+def breach(z: ArrayLike, batch: PeriodBatch, out: np.ndarray | None = None) -> ArrayLike:
     """The breach law S = v / (alpha*z + 1)**k with ``z`` broadcast against
-    the periods, in one fresh buffer (a 0-d array for scalar inputs)."""
-    s = np.asarray(batch.alpha * z)
+    the periods: a float where ``z`` and the batch are floats (a one-period
+    view at one point), else an array, in ``out`` if given."""
+    s = batch.alpha * z if out is None else np.multiply(batch.alpha, z, out=out)
     s += 1.0
+    if not isinstance(s, np.ndarray):
+        # np.power, not **: on floats it rounds as the array loop does, and
+        # squares where k is 2
+        return batch.v / np.power(s, batch.k)
     if isinstance(batch.k, np.ndarray):
         # numpy squares where a scalar exponent is 2, and its pow can differ
         # from that in the last bit; square the same periods here
@@ -239,12 +244,15 @@ def breach(z: ArrayLike, batch: PeriodBatch) -> np.ndarray:
     return np.divide(batch.v, s, out=s)
 
 
-def ebis(z: ArrayLike, batch: PeriodBatch) -> np.ndarray:
-    """Expected benefit [v - S(z, v)] * L, computed in the buffer of ``breach``."""
-    out = breach(z, batch)
-    np.subtract(batch.v, out, out=out)
-    out *= batch.loss
-    return out
+def ebis(z: ArrayLike, batch: PeriodBatch, out: np.ndarray | None = None) -> ArrayLike:
+    """Expected benefit [v - S(z, v)] * L, computed in the buffer of ``breach``
+    (a float where ``breach`` gives one)."""
+    s = breach(z, batch, out)
+    if not isinstance(s, np.ndarray):
+        return (batch.v - s) * batch.loss
+    np.subtract(batch.v, s, out=s)
+    s *= batch.loss
+    return s
 
 
 def net_total(terms: np.ndarray, label: str) -> float:
@@ -257,8 +265,8 @@ def net_total(terms: np.ndarray, label: str) -> float:
     return total
 
 
-def _scalar_or_array(z: ArrayLike, out: np.ndarray) -> ArrayLike:
-    return float(out) if np.isscalar(z) or out.ndim == 0 else out
+def _scalar_or_array(out: ArrayLike) -> ArrayLike:
+    return out if isinstance(out, np.ndarray) else float(out)
 
 
 def _numbers(z: ArrayLike, name: str = "z", field: str = "loss") -> ArrayLike:
@@ -284,7 +292,7 @@ def sbpf_eval(z: ArrayLike, v: float, tech: TechnologyProfile) -> ArrayLike:
     _check("v", v, "vulnerability")
     # the loss plays no part in S
     out = breach(z_arr, PeriodBatch(tech.alpha, tech.exponent, v, 0.0))
-    return _scalar_or_array(z, out)
+    return _scalar_or_array(out)
 
 
 def ebis_eval(z: ArrayLike, period: PeriodSpec) -> ArrayLike:
@@ -292,7 +300,7 @@ def ebis_eval(z: ArrayLike, period: PeriodSpec) -> ArrayLike:
 
     Takes a scalar or an ndarray ``z`` and returns the same shape.
     """
-    return _scalar_or_array(z, ebis(_numbers(z), PeriodBatch.one(period)))
+    return _scalar_or_array(ebis(_numbers(z), PeriodBatch.one(period)))
 
 
 def enbis_eval(plan: InvestmentPlan, scenario: Scenario) -> float:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    ArrayLike,
     InvestmentPlan,
     PeriodBatch,
     PeriodSpec,
@@ -21,7 +22,6 @@ from .model import (
     _check,
     breach,
     ebis,
-    ebis_eval,
     net_total,
 )
 
@@ -35,6 +35,10 @@ _GOLDEN_MAX_STEPS = 3100
 _ORACLE_BLOCK = 32768
 # grid_oracle splits ranges 16 ways; smaller fans take more levels of calls
 _ORACLE_FAN = 16
+# a row of OptimizationResult.per_period
+_OPTIMUM = np.dtype((np.record, [
+    ("z_star", float), ("breach_probability_at_optimum", float), ("ebis_at_optimum", float),
+]))
 
 
 @dataclass(frozen=True)
@@ -48,27 +52,35 @@ class OptimizationResult:
     per_period: np.recarray
 
 
-def z_star(batch: PeriodBatch) -> np.ndarray:
-    """Unique maximizer of [v - S(z, v)]*L - z over z >= 0, per period.
+def z_star(batch: PeriodBatch) -> ArrayLike:
+    """Unique maximizer of [v - S(z, v)]*L - z over z >= 0, per period; a
+    float for a one-period view.
 
     Setting the derivative to zero gives (alpha*z + 1)**(k+1) = alpha*k*v*L
     with k the technology exponent; when the right-hand side is <= 1 the
     objective is nonincreasing and the corner z = 0 is optimal. The logs and
     expm1 go through ``math``, whose last bit numpy's do not always match.
     """
-    batch = PeriodBatch(*np.atleast_1d(*batch))  # a one-period view's floats too
     alpha, k = batch.alpha, batch.k
     with np.errstate(over="ignore", invalid="ignore"):
         interior = alpha * k * batch.v * batch.loss
-    log_interior = _map(_log_above_one, interior)
-    over = log_interior == math.inf
-    if over.any():
-        # a partial product overflowed, so no factor is zero and the true
-        # product may still lie at or below 1
-        log_interior[over] = [_log_product(*row) for row in zip(*(x[over].tolist() for x in batch))]
     # expm1 keeps full precision as interior -> 1 (the corner); a corner's
     # log is 0, which gives z = 0
-    return _map(math.expm1, log_interior / (k + 1.0)) / alpha
+    return _map(math.expm1, _log_interior(interior, batch) / (k + 1.0)) / alpha
+
+
+def _log_interior(interior: ArrayLike, batch: PeriodBatch) -> ArrayLike:
+    """``_log_above_one`` of the products alpha*k*v*L. Where a partial
+    product overflowed, no factor is zero and the true product may still lie
+    at or below 1, so the log is taken from the factors."""
+    if isinstance(interior, float):  # a one-period view
+        log = _log_above_one(interior)
+        return _log_product(*batch) if log == math.inf else log
+    log = _map(_log_above_one, interior)
+    over = log == math.inf
+    if over.any():
+        log[over] = [_log_product(*row) for row in zip(*(x[over].tolist() for x in batch))]
+    return log
 
 
 def _log_above_one(x: float) -> float:
@@ -89,13 +101,16 @@ def _log_product(*factors: float) -> float:
         return sum(map(math.log, factors))
 
 
-def _map(fn, values: np.ndarray) -> np.ndarray:
+def _map(fn, values: ArrayLike) -> ArrayLike:
+    """``fn`` of a float, or of each value of a float array."""
+    if isinstance(values, float):
+        return fn(values)
     return np.fromiter(map(fn, values.tolist()), float, values.size)
 
 
 def closed_form_optimum(period: PeriodSpec) -> float:
     """Optimal investment of one period: the one-period view of ``z_star``."""
-    return float(z_star(PeriodBatch.one(period))[0])
+    return z_star(PeriodBatch.one(period))
 
 
 def golden_section_optimum(period: PeriodSpec, z_max: float, tol: float) -> float:
@@ -106,25 +121,26 @@ def golden_section_optimum(period: PeriodSpec, z_max: float, tol: float) -> floa
     """
     _check("z_max", z_max, "loss")
     _check("tol", tol)
+    batch = PeriodBatch.one(period)
     a, b = 0.0, float(z_max)
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
-    fc = ebis_eval(c, period) - c
-    fd = ebis_eval(d, period) - d
+    fc = ebis(c, batch) - c
+    fd = ebis(d, batch) - d
     for _ in range(_GOLDEN_MAX_STEPS):
         if b - a <= tol:
             break
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)
-            fc = ebis_eval(c, period) - c
+            fc = ebis(c, batch) - c
         else:
             a, c, fc = c, d, fd
             d = a + _INV_PHI * (b - a)
-            fd = ebis_eval(d, period) - d
+            fd = ebis(d, batch) - d
     mid = 0.5 * (a + b)
     # the corner z=0 can beat the interior midpoint when the optimum is flat
-    return 0.0 if ebis_eval(0.0, period) >= ebis_eval(mid, period) - mid else mid
+    return 0.0 if ebis(0.0, batch) >= ebis(mid, batch) - mid else mid
 
 
 def _uniform_grid(z_min: float, z_max: float, steps: int) -> np.ndarray:
@@ -134,17 +150,16 @@ def _uniform_grid(z_min: float, z_max: float, steps: int) -> np.ndarray:
         return np.linspace(float(z_min), float(z_max), int(steps) + 1)
 
 
-def _grid_points(i: np.ndarray, z_max: float, steps: int) -> np.ndarray:
+def _grid_points(i: np.ndarray, z_max: float, steps: int, out: np.ndarray | None = None) -> np.ndarray:
     """``_uniform_grid(0.0, z_max, steps)`` at the ascending indices ``i``, as
-    linspace forms it: i*step, or i/steps*z_max where step underflows to 0;
-    i*step may overflow in the last point, which is z_max."""
+    linspace forms it, in ``out`` if given: i*step, or i/steps*z_max where
+    step underflows to 0; i*step may overflow in the last point, which is z_max."""
     step = z_max / steps
-    z = i.astype(float)
     with np.errstate(over="ignore"):
         if step:
-            z *= step
+            z = np.multiply(i, step, out=out)
         else:
-            z /= steps
+            z = np.divide(i, steps, out=out)
             z *= z_max
     if i[-1] == steps:
         z[-1] = z_max
@@ -163,9 +178,10 @@ def grid_oracle(period: PeriodSpec, z_max: float, steps: int) -> float:
     value seen is dropped, as it holds no maximum. The points of the leaves
     are scanned in index order, and a later block wins only with a greater
     value, so ties break toward the smallest z. Each call of ebis takes at
-    most ``_ORACLE_BLOCK`` points. The bound is loose by about a range's
-    width in z, so near a smooth peak 1e6 steps scan 2e5 to 4e5 points in 7
-    to 14 calls of ebis, and 10**12 steps 7.3 million points.
+    most ``_ORACLE_BLOCK`` points, formed in buffers that the oracle's call
+    allocates once. The bound is loose by about a range's width in z, so
+    near a smooth peak 1e6 steps scan 2e5 to 4e5 points in 7 to 14 calls of
+    ebis, and 10**12 steps 7.3 million points.
     """
     _check("z_max", z_max, "loss")
     _check("steps", steps)
@@ -186,6 +202,10 @@ def grid_oracle(period: PeriodSpec, z_max: float, steps: int) -> float:
     width = leaf
     while width <= steps:
         width *= _ORACLE_FAN
+    # A block's indices, points and values are formed in these buffers, not
+    # in fresh memory, which a call would fault in block by block
+    index, points, values = np.empty(_ORACLE_BLOCK, np.int64), np.empty(_ORACLE_BLOCK), np.empty(_ORACLE_BLOCK)
+    offsets = np.arange(min(leaf, _ORACLE_BLOCK))  # of a leaf's points from its start
     incumbent, best, best_z = -math.inf, -math.inf, 0.0
     live = [(np.zeros(1, np.int64), width)]  # ascending range starts, and their width
     while live:
@@ -199,40 +219,42 @@ def grid_oracle(period: PeriodSpec, z_max: float, steps: int) -> float:
         if start.size > head:
             live.append((start[head:], width))
             start = start[:head]
-        start = (start[:, None] + np.arange(0, width, child)).ravel()
-        start = start[: np.searchsorted(start, steps, "right")]
-        last = np.minimum(start + (child - 1), steps) if child > 1 else start
-        z_end = _grid_points(last, z_max, steps)
-        ebis_end = ebis(z_end, batch)
-        values = ebis_end - z_end
+        offset = offsets[:width] if child == 1 else np.arange(0, width, child)
+        i = index[: start.size * offset.size].reshape(start.size, offset.size)
+        i = np.add(start[:, None], offset, out=i).ravel()
+        i = i[: np.searchsorted(i, steps, "right")]
+        last = np.minimum(i + (child - 1), steps) if child > 1 else i
+        z_end = _grid_points(last, z_max, steps, points[: i.size])
+        ebis_end = ebis(z_end, batch, values[: i.size])
         if child == 1:  # the points of leaves, in index order
-            j = int(np.argmax(values))
-            if values[j] > best:
-                best, best_z = float(values[j]), float(z_end[j])
+            net = np.subtract(ebis_end, z_end, out=ebis_end)
+            j = int(np.argmax(net))
+            if net[j] > best:
+                best, best_z = float(net[j]), float(z_end[j])
             continue
-        incumbent = max(incumbent, float(values.max()))
+        incumbent = max(incumbent, float((ebis_end - z_end).max()))
         with np.errstate(over="ignore"):
-            bound = (ebis_end + pad) - _grid_points(start, z_max, steps)
+            bound = (ebis_end + pad) - _grid_points(i, z_max, steps)
         if last[-1] == steps:
             # where step is subnormal, linspace's z_max may lie below the
             # point before it, so the range ending there is never dropped
             bound[-1] = math.inf
-        start = start[bound >= incumbent]
+        start = i[bound >= incumbent]
         if start.size:
             live.append((start, child))
     return best_z
 
 
-def _optima(batch: PeriodBatch) -> tuple[np.recarray, np.ndarray]:
+def _optima(batch: PeriodBatch) -> tuple[np.recarray, ArrayLike]:
     """The closed-form optimum of every period with the curve values there,
     and its net benefit ebis - z*."""
     z = z_star(batch)
-    table = np.rec.fromarrays(
-        (z, breach(z, batch), ebis(z, batch)),
-        names="z_star,breach_probability_at_optimum,ebis_at_optimum",
-    )
+    columns = z, breach(z, batch), ebis(z, batch)
+    table = np.recarray(np.size(z), _OPTIMUM)
+    for name, column in zip(_OPTIMUM.names, columns):
+        table[name] = column
     table.flags.writeable = False  # per_period of a frozen result
-    return table, table.ebis_at_optimum - z
+    return table, columns[2] - z
 
 
 def optimize_period(period: PeriodSpec) -> np.record:

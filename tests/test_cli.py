@@ -207,9 +207,9 @@ def test_csv_and_svg_share_one_evaluation_per_curve(extra, tmp_path, capsys, mon
     calls = []
     breach = secinvest.model.breach
 
-    def counted(z, batch):
+    def counted(z, batch, out=None):
         calls.append(len(z))
-        return breach(z, batch)
+        return breach(z, batch, out)
 
     monkeypatch.setattr(secinvest.model, "breach", counted)
     argv = [*extra, "--vulnerability", "0.5", "--loss", "100", "--alpha", "1", "--beta", "1",

@@ -3,7 +3,8 @@
 Valid finite inputs give finite results, the closed form matches a 50-digit
 reference, the Gordon-Loeb bound z* <= v*L/e holds, the scenario optimum,
 scenario total and sweep equal their per-period scalar forms (at and near the
-corner and where alpha*k*v*L overflows), every row of the whole-grid curve
+corner and where alpha*k*v*L overflows), every one-period view is bitwise the
+row of the batch kernel, every row of the whole-grid curve
 CSVs equals the one formatted from scalar evaluations, and every invalid
 input (nan, +-inf, bools, 400-digit ints, out-of-range values) fails with a
 ModelError subclass, in the library and through the CLI.
@@ -51,6 +52,8 @@ from secinvest import (
     sbpf_eval,
 )
 from secinvest.analysis import SHIFT_TOLERANCE
+from secinvest.model import breach, ebis
+from secinvest.optimize import _optima, z_star
 from secinvest.scenario_io import _as_printed, fmt, fmt_rows
 
 PROPERTY = settings(deadline=None, max_examples=150)
@@ -110,10 +113,15 @@ def mp_z_star(p):
 @st.composite
 def regime_periods(draw):
     """A period at the corner (alpha*k*v*L <= 1), just past it (1 + 1e-10),
-    with an overflowing product alpha*k*v*L = inf, or anywhere."""
-    regime = draw(st.sampled_from(["corner", "near", "overflow", "any"]))
+    inside it (up to 1e6), with an overflowing product alpha*k*v*L = inf, a
+    subnormal v, a zero loss, or anywhere."""
+    regime = draw(st.sampled_from(["corner", "near", "interior", "overflow", "subnormal", "zero", "any"]))
     if regime == "any":
         return draw(periods)
+    if regime in ("subnormal", "zero"):
+        v = draw(st.sampled_from([5e-324, 1e-310, 2.2e-308]) if regime == "subnormal" else vulnerabilities)
+        loss = draw(losses) if regime == "subnormal" else 0.0
+        return make_period(v, loss, draw(alphas), draw(betas), draw(dummies))
     d = draw(dummies)
     v = draw(st.floats(1e-3, 1.0))
     if regime == "overflow":
@@ -124,7 +132,8 @@ def regime_periods(draw):
         # k = 2 (beta 1 with the dummy, or beta 2) is where numpy squares
         beta = draw(st.one_of(st.sampled_from([1.0, 2.0]), st.floats(1.0, 10.0)))
         alpha = draw(st.floats(1e-3, 1e3))
-        scale = (1.0 + 1e-10) if regime == "near" else draw(st.floats(0.0, 1.0))
+        scale = draw({"corner": st.floats(0.0, 1.0), "near": st.just(1.0 + 1e-10),
+                      "interior": st.floats(1.0, 1e6)}[regime])
         loss = scale / (alpha * (beta + d) * v)
     return make_period(v, loss, alpha, beta, d)
 
@@ -154,6 +163,35 @@ def test_scenario_optimum_is_the_per_period_optimum(ps):
         assert r.ebis_at_optimum == ebis_eval(r.z_star, p)
     assert result.plan.amounts == tuple(r.z_star for r in result.per_period)
     assert result.enbis_total == expected
+
+
+def bits(values):
+    """The bit patterns of a float or of a sequence of floats."""
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+@PROPERTY
+@given(st.lists(st.tuples(regime_periods(), st.floats(0.0, 1e308) | st.floats(0.0, 10.0)), min_size=1, max_size=12))
+@example([
+    (make_period(0.5, 100.0, 1.0, 1.0, 1), 1.0),  # k = 2, where numpy squares
+    (make_period(0.5, 1.0, 1.0, 1.0, 0), 0.0),  # the corner
+    (make_period(0.5, 1e-300, 1e308, 1e300, 1), 1e308),  # alpha*k overflows
+    (make_period(5e-324, 1e308, 1.0, 1.5, 0), 3.0),  # subnormal v
+    (make_period(0.5, 0.0, 2.0, 1.0, 0), 2.0),  # zero loss
+])
+def test_one_period_views_are_rows_of_the_batch_call(pairs):
+    """Each one-period view gives, bit for bit, row i of the batch kernel
+    over the scenario of all periods, at the optimum and at any z."""
+    ps = [p for p, _ in pairs]
+    z = np.array([z for _, z in pairs])
+    batch = Scenario("x", tuple(ps)).batch
+    z_rows, table, breach_rows, ebis_rows = z_star(batch), _optima(batch)[0], breach(z, batch), ebis(z, batch)
+    for i, p in enumerate(ps):
+        assert bits(closed_form_optimum(p)) == bits(z_rows[i])
+        assert bits(optimize_period(p).tolist()) == bits(table[i].tolist())
+        at = float(z[i])
+        assert bits(ebis_eval(at, p)) == bits(ebis_rows[i])
+        assert bits(sbpf_eval(at, p.vulnerability, p.technology)) == bits(breach_rows[i])
 
 
 @PROPERTY
