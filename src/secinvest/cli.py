@@ -4,12 +4,14 @@ Subcommands: optimize, curve, mix-curve, delta-z, sweep. Each handler computes
 its result (and writes its SVG), then returns the arguments of ``table_text``;
 ``run_cli`` alone writes that text, so an error writes nothing to stdout. Data
 goes to stdout, diagnostics to stderr. Exit 0 on success, 1 on domain/contract
-errors, 2 on usage errors.
+errors or a stdout that its reader closed (with nothing on stderr), 2 on usage
+errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -204,10 +206,14 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         sys.stdout.writelines(table_text(*args.func(args)))
+        sys.stdout.flush()
     except ModelError as exc:
         message = exc
     except UnicodeEncodeError as exc:  # e.g. a label that stdout's encoding cannot print
         message = f"stdout cannot print the output: {exc}"
+    except BrokenPipeError:  # e.g. `| head`; the exit's last flush then writes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     else:
         return 0
     print(f"error: {message}", file=sys.stderr)

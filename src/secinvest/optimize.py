@@ -179,9 +179,10 @@ def grid_oracle(period: PeriodSpec, z_max: float, steps: int) -> float:
     are scanned in index order, and a later block wins only with a greater
     value, so ties break toward the smallest z. Each call of ebis takes at
     most ``_ORACLE_BLOCK`` points, formed in buffers that the oracle's call
-    allocates once. The bound is loose by about a range's width in z, so
-    near a smooth peak 1e6 steps scan 2e5 to 4e5 points in 7 to 14 calls of
-    ebis, and 10**12 steps 7.3 million points.
+    allocates once, and a leaf is never wider than that. The bound is loose
+    by about a range's width in z, so near a smooth peak 1e6 steps scan
+    5e4 to 2.5e5 points in 4 to 10 calls of ebis, and 10**12 steps 7.3
+    million points.
     """
     _check("z_max", z_max, "loss")
     _check("steps", steps)
@@ -191,35 +192,27 @@ def grid_oracle(period: PeriodSpec, z_max: float, steps: int) -> float:
     # should rise; among subnormals, by a unit of 5e-324 in S and in ebis
     pad = (8 * math.ulp(1.0) * batch.v + 1e-322) * batch.loss + 1e-322
     # Near a peak the points scanned grow as sqrt(leaf * steps). Leaves of
-    # steps/8 points up to 2**20 steps (whole blocks where wider than one)
-    # and 2**37/steps beyond, but at least 32, keep them near a few blocks up
-    # to 2**32 steps, so that a call spends its time in block-sized
-    # arithmetic, as a full scan does. Small calls spend it in numpy's
-    # per-call overhead, which slows more than arithmetic on a loaded CPU.
-    leaf = max(32, min(steps // 8, 2**37 // steps))
-    if leaf > _ORACLE_BLOCK:
-        leaf -= leaf % _ORACLE_BLOCK
+    # steps/8 points up to 2**18 steps, a block up to 2**22 and 2**37/steps
+    # beyond, but at least 32, keep them near a block up to 2**32 steps, so
+    # that a call spends its time in arithmetic, not in per-call overhead.
+    leaf = max(32, min(steps // 8, 2**37 // steps, _ORACLE_BLOCK))
     width = leaf
     while width <= steps:
         width *= _ORACLE_FAN
     # A block's indices, points and values are formed in these buffers, not
     # in fresh memory, which a call would fault in block by block
     index, points, values = np.empty(_ORACLE_BLOCK, np.int64), np.empty(_ORACLE_BLOCK), np.empty(_ORACLE_BLOCK)
-    offsets = np.arange(min(leaf, _ORACLE_BLOCK))  # of a leaf's points from its start
+    offsets = np.arange(leaf)  # of a leaf's points from its start
     incumbent, best, best_z = -math.inf, -math.inf, 0.0
     live = [(np.zeros(1, np.int64), width)]  # ascending range starts, and their width
     while live:
         start, width = live.pop()
-        if width == leaf > _ORACLE_BLOCK:  # a wide leaf: each of its blocks is scanned
-            start = (start[:, None] + np.arange(0, width, _ORACLE_BLOCK)).ravel()
-            live.append((start[start <= steps], _ORACLE_BLOCK))
-            continue
-        child = width // _ORACLE_FAN if width > min(leaf, _ORACLE_BLOCK) else 1
+        child = width // _ORACLE_FAN if width > leaf else 1
         head = _ORACLE_BLOCK * child // width
         if start.size > head:
             live.append((start[head:], width))
             start = start[:head]
-        offset = offsets[:width] if child == 1 else np.arange(0, width, child)
+        offset = offsets if child == 1 else np.arange(0, width, child)
         i = index[: start.size * offset.size].reshape(start.size, offset.size)
         i = np.add(start[:, None], offset, out=i).ravel()
         i = i[: np.searchsorted(i, steps, "right")]

@@ -160,6 +160,8 @@ def parse_scenario(document: str) -> Scenario:
         raise ParseError("label must be present and a string")
     if re.search("[\ud800-\udfff]", data["label"]):  # stdout cannot encode it
         raise ParseError("label must not hold a lone surrogate (an unpaired \\ud800-\\udfff escape)")
+    if re.search("[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]", data["label"]):  # str.splitlines' breaks
+        raise ParseError("label must not hold a line break")
     if "periods" not in data or not isinstance(data["periods"], list):
         raise ParseError("periods must be present and a list")
     entries = data["periods"]

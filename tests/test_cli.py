@@ -11,6 +11,7 @@ import pytest
 
 import secinvest
 from secinvest import (
+    ParseError,
     PeriodSpec,
     optimize_scenario,
     optimum_shift_sweep,
@@ -166,6 +167,19 @@ def test_lone_surrogate_label_exit_1(scenario_file, capsys):
     path = scenario_file("pair.json", dict(ONE_PERIOD_VL10, label="a\U0001F600"))
     assert run_cli(["optimize", path]) == 0
     assert capsys.readouterr().out.startswith("scenario=a\U0001F600\n")
+
+
+@pytest.mark.parametrize("brk", ["\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_label_with_a_line_break_exits_1(brk, scenario_file, capsys):
+    # a break would let the label forge an output line, here "periods=7"
+    assert f"a{brk}b".splitlines() == ["a", "b"]
+    payload = dict(ONE_PERIOD_VL10, label=f"a{brk}periods=7")
+    with pytest.raises(ParseError, match="^label must not hold a line break$"):
+        parse_scenario(json.dumps(payload))
+    assert run_cli(["optimize", scenario_file("break.json", payload)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: label must not hold a line break\n"
+    assert captured.out == ""
 
 
 def test_usage_error_exit_2(capsys):
@@ -351,6 +365,21 @@ def test_module_entry_point_writes_nothing_to_stderr():
     assert result.returncode == 0
     assert result.stderr == ""
     assert result.stdout.startswith("alpha,beta,")
+
+
+def test_stdout_closed_by_its_reader_exits_1_quietly():
+    # a million-step curve is far more than a pipe holds, so the writes after
+    # the reader closes its end fail; neither a traceback nor an
+    # "Exception ignored" line from the exit's flush may reach stderr
+    argv = ["curve", "--vulnerability", "0.5", "--loss", "100", "--alpha", "1", "--beta", "1", "--steps", "1000000"]
+    env = dict(os.environ, PYTHONPATH=str(Path(secinvest.__file__).parents[1]))
+    with subprocess.Popen([sys.executable, "-m", "secinvest.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"z,ebis_0,enbis_0\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait() == 1
+    assert stderr == b""
 
 
 def test_label_that_stdout_cannot_encode_exits_1(scenario_file):

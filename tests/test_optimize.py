@@ -161,8 +161,8 @@ _B = _ORACLE_BLOCK
 # and 3 steps its points are 0, 0, 5e-324, 5e-324, not 0, 0, 0, 5e-324
 @pytest.mark.parametrize("z_max, steps", [
     (0.0, 1), (5e-324, 3), (5e-320, _B + 1), (10.0, 3 * _B + 7), (10.0, 2 * _B), (LARGEST, 3), (LARGEST, _B + 1),
-    # leaves of 3 blocks, the last one cut short by steps; leaves of 4 blocks,
-    # the last one holding only the point at steps, where the maximum lies
+    # leaves of a block, the last one cut short by steps; at 2**20 steps the
+    # last leaf holds only the point at steps, where the maximum lies
     (10.0, 10**6), (1.0, 2**20),
 ])
 def test_blocks_are_the_uniform_grid(monkeypatch, z_max, steps):
@@ -203,9 +203,14 @@ def test_blocks_are_the_uniform_grid(monkeypatch, z_max, steps):
     assert covered.all()
 
 
-def test_huge_grid_in_bounded_work(monkeypatch):
-    """10**12 steps take 7.3 million points of ebis (measured), not 10**12,
-    and the exact first maximum."""
+# leaves of 2**37/steps points: 1374 at 10**8 steps, 137 at 10**12; the
+# budgets are the measured 0.42 and 7.3 million points of ebis and peaks of
+# 0.93 and 2.2 MB, with some room: a few blocks per level
+@pytest.mark.parametrize("steps, points, memory", [(10**8, 5 * 10**5, 1.3e6), (10**12, 8 * 10**6, 8e6)],
+                         ids=["1e8", "1e12"])
+def test_huge_grid_in_bounded_work(monkeypatch, steps, points, memory):
+    """A grid of 10**8 or 10**12 steps takes a bounded number of points of
+    ebis, not all of them, and the exact first maximum."""
     sizes = []
 
     def counting_ebis(z, batch, out=None):
@@ -213,18 +218,19 @@ def test_huge_grid_in_bounded_work(monkeypatch):
         return ebis(z, batch, out)
 
     monkeypatch.setattr("secinvest.optimize.ebis", counting_ebis)
-    p, z_max, steps = period(), 10.0, 10**12
+    p, z_max = period(), 10.0
     tracemalloc.start()
     try:
         best_z = grid_oracle(p, z_max, steps)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sum(sizes) <= 8 * 10**6
-    assert peak < 8 * 10**6  # 3 MB measured: a few blocks per level
-    # ebis - z is flat to its rounding over some 6000 steps either side of z*,
-    # so the first maximum lies there, not within 2 steps; as the objective is
-    # concave, a full scan of 2*10**5 points around z* holds it
+    assert sum(sizes) <= points
+    assert peak < memory
+    # at 10**12 steps ebis - z is flat to its rounding over some 6000 steps
+    # either side of z*, so the first maximum lies there, not within 2 steps;
+    # as the objective is concave, a full scan of 2*10**5 points around z*
+    # holds it
     centre = round(closed_form_optimum(p) / (z_max / steps))
     window = np.arange(centre - 10**5, centre + 10**5, dtype=float) * (z_max / steps)
     values = ebis(window, PeriodBatch.one(p))
@@ -269,8 +275,8 @@ _periods = st.builds(
 @example(period(beta=1.0, d=1), 20.0, 2 * 10**5)
 @example(period(beta=2.0, d=0), 20.0, 2 * 10**5)
 @example(period(v=1e-310, loss=1e300, alpha=1e12), 1e-10, 2 * 10**5)  # subnormal v
-# leaves wider than a block: 3 blocks at 10**6 steps, 4 at 2**20, whose last
-# leaf holds only the point at steps, here the maximum
+# leaves of a block at 10**6 and 2**20 steps; at 2**20 the last leaf holds
+# only the point at steps, here the maximum
 @example(period(), 20.0, 10**6)
 @example(period(beta=2.0, d=0), 1.0, 2**20)
 # a subnormal step: linspace's last point, z_max, lies below the one before
@@ -282,6 +288,35 @@ def test_blocks_give_the_first_argmax_over_the_whole_grid(p, z_max, steps):
     values -= z
     expected = float(z[int(np.argmax(values))])
     assert grid_oracle(p, z_max, steps).hex() == expected.hex()
+
+
+_MIX = np.uint64(0x9E3779B97F4A7C15)  # 2**64 / golden ratio, for a hash of z's bits
+
+
+def _dipped_ebis(z, batch, out=None):
+    """ebis minus 0 to 3 ulps of v*L, picked by the bits of each z: an ebis
+    that falls between rising points, as a pow that is not monotone would."""
+    values = ebis(z, batch, out)
+    values -= (z.view(np.uint64) * _MIX >> np.uint64(62)) * math.ulp(batch.v * batch.loss)
+    return values
+
+
+@settings(deadline=None, max_examples=40)
+@given(p=_periods, scale=st.floats(1.0, 3.0), steps=st.integers(1, 2 * 10**5))
+# ebis rounds to steps of an ulp of v*L that span many grid points, so the
+# dips decide the maximum; a bound without the pad drops the range that holds it
+@example(period(v=1.0, loss=1e30), 1.5, 4 * _B)
+@example(period(v=1.0, loss=1e30, beta=2.0), 2.0, 1000)
+@example(period(v=1.0, loss=1e25, beta=2.0), 3.0, 2 * 10**5)
+def test_pad_covers_an_ebis_that_is_not_monotone(p, scale, steps):
+    z_max = closed_form_optimum(p) * scale + 1.0  # a peak inside the grid
+    z = _uniform_grid(0.0, z_max, steps)
+    values = _dipped_ebis(z, PeriodBatch.one(p))
+    values -= z
+    expected = float(z[int(np.argmax(values))])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("secinvest.optimize.ebis", _dipped_ebis)
+        assert grid_oracle(p, z_max, steps).hex() == expected.hex()
 
 
 class TestOptimizeScenario:
