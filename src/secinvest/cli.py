@@ -4,8 +4,8 @@ Subcommands: optimize, curve, mix-curve, delta-z, sweep. Each handler computes
 its result (and writes its SVG), then returns the arguments of ``table_text``;
 ``run_cli`` alone writes that text, so an error writes nothing to stdout. Data
 goes to stdout, diagnostics to stderr. Exit 0 on success, 1 on domain/contract
-errors or a stdout that its reader closed (with nothing on stderr), 2 on usage
-errors.
+errors, a stdout that cannot take the output (a full disk) or one that its
+reader closed (with nothing on stderr), 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -205,17 +205,22 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        sys.stdout.writelines(table_text(*args.func(args)))
-        sys.stdout.flush()
+        table = args.func(args)
     except ModelError as exc:
         message = exc
-    except UnicodeEncodeError as exc:  # e.g. a label that stdout's encoding cannot print
-        message = f"stdout cannot print the output: {exc}"
-    except BrokenPipeError:  # e.g. `| head`; the exit's last flush then writes to devnull
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
     else:
-        return 0
+        try:
+            sys.stdout.writelines(table_text(*table))
+            sys.stdout.flush()
+        except UnicodeEncodeError as exc:  # e.g. a label that stdout's encoding cannot print
+            message = f"stdout cannot print the output: {exc}"
+        except OSError as exc:  # e.g. `| head` or a full disk
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the exit's last flush
+            if isinstance(exc, BrokenPipeError):
+                return 1
+            message = f"cannot write the output: {exc}"
+        else:
+            return 0
     print(f"error: {message}", file=sys.stderr)
     return 1
 

@@ -172,10 +172,14 @@ def grid_oracle(period: PeriodSpec, z_max: float, steps: int) -> float:
     The first maximum of ebis(z) - z over ``_uniform_grid(0.0, z_max, steps)``,
     bit for bit, found by branch and bound on the grid's indices. As ebis
     rises in z, no value on a range [a, b] exceeds (ebis(z_b) + pad) - z_a,
-    with ``pad`` for the last-bit wobble of numpy's pow; concavity and the
-    closed form are not used. Ranges are split ``_ORACLE_FAN`` ways, depth
-    first and left to right, and one whose bound lies strictly below the best
-    value seen is dropped, as it holds no maximum. The points of the leaves
+    with ``pad`` for the last-bit wobble of numpy's pow, and a range whose
+    ends share one z holds just ebis(z) - z; concavity and the closed form
+    are not used. Ranges are split ``_ORACLE_FAN`` ways, depth first and left
+    to right, and one whose bound lies strictly below the best value seen is
+    dropped, as it holds no maximum. So is one whose bound is not above the
+    best value of the leaves scanned: it lies after them, so a tie there is
+    not the first maximum, and a flat grid of 2**53 steps takes about 5
+    million points. The points of the leaves
     are scanned in index order, and a later block wins only with a greater
     value, so ties break toward the smallest z. Each call of ebis takes at
     most ``_ORACLE_BLOCK`` points, formed in buffers that the oracle's call
@@ -226,13 +230,17 @@ def grid_oracle(period: PeriodSpec, z_max: float, steps: int) -> float:
                 best, best_z = float(net[j]), float(z_end[j])
             continue
         incumbent = max(incumbent, float((ebis_end - z_end).max()))
+        z_start = _grid_points(i, z_max, steps)
         with np.errstate(over="ignore"):
-            bound = (ebis_end + pad) - _grid_points(i, z_max, steps)
+            # a range whose ends share one z holds one value, without wobble
+            bound = (ebis_end + np.where(z_start < z_end, pad, 0.0)) - z_start
         if last[-1] == steps:
             # where step is subnormal, linspace's z_max may lie below the
             # point before it, so the range ending there is never dropped
             bound[-1] = math.inf
-        start = i[bound >= incumbent]
+        # the ranges left to visit lie after the leaves scanned, so a tie with
+        # their best is not the first maximum
+        start = i[(bound >= incumbent) & (bound > best)]
         if start.size:
             live.append((start, child))
     return best_z

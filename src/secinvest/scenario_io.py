@@ -257,23 +257,10 @@ def emit_mix_csv(
     return "".join(table_text(*_mix_table(period_pre, period_post, switch_index, z_grid)))
 
 
-def _as_printed(x) -> np.ndarray:
-    """``float(fmt(v))`` for every ``v`` of ``x``, as one array: ``n / 1e6``
-    (a correctly rounded quotient) where ``_rounded`` gives the printed ``n``,
-    and the printed cell read back elsewhere."""
-    x = np.asarray(x, dtype=float) + 0.0
-    n, exact = _rounded(x, 6)
-    out = np.copysign(n, x) / 1e6
-    rest = np.flatnonzero(~exact)
-    if rest.size:
-        out[rest] = ("%.6f " * rest.size % tuple(x[rest].tolist())).split()
-    return out
-
-
 def render_curve_svg(z: Sequence, columns: Sequence) -> str:
     """One polyline per curve of ``columns`` against the grid ``z`` on a
-    640x480 plot, each value drawn as its CSV cell prints it (``fmt``); ``z``
-    and each column must be nonempty, 1-D, finite and of one length.
+    640x480 plot, each scaled to the plot from the floats given; ``z`` and
+    each column must be nonempty, 1-D, finite and of one length.
     Convenience output only; correctness is asserted on the CSV."""
     z = _numbers(z, "z", "total")
     if np.ndim(z) != 1 or not np.size(z):
@@ -285,8 +272,10 @@ def render_curve_svg(z: Sequence, columns: Sequence) -> str:
     width, height, margin = 640, 480, 40.0
 
     def scaled(values, size):  # the same operations, in the same order, as per point
-        values = _as_printed(values)
-        return (values - values.min()) / ((values.max() - values.min()) or 1.0) * (size - 2 * margin)
+        low, high = float(values.min()), float(values.max())
+        if high - low == np.inf:  # halving the values and both ends is exact for normal floats
+            values, low, high = values / 2, low / 2, high / 2
+        return (values - low) / ((high - low) or 1.0) * (size - 2 * margin)
 
     px = margin + scaled(z, width)
     colors = ["#1f77b4", "#2ca02c", "#d62728", "#9467bd"]

@@ -382,6 +382,20 @@ def test_stdout_closed_by_its_reader_exits_1_quietly():
     assert stderr == b""
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["sweep"],  # small enough to stay buffered until the flush
+    ["curve", "--vulnerability=0.5", "--loss=100", "--alpha=1", "--beta=1", "--steps=100000"],
+])
+def test_stdout_on_a_full_disk_exits_1_with_one_line(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(secinvest.__file__).parents[1]))
+    with open("/dev/full", "w") as full:
+        result = subprocess.run([sys.executable, "-m", "secinvest.cli", *argv], env=env, stdout=full,
+                                stderr=subprocess.PIPE, text=True, check=False)
+    assert result.returncode == 1
+    assert result.stderr == "error: cannot write the output: [Errno 28] No space left on device\n"
+
+
 def test_label_that_stdout_cannot_encode_exits_1(scenario_file):
     path = scenario_file("cafe.json", dict(ONE_PERIOD_VL10, label="caf\u00e9"))
     result = _run_python("-m", "secinvest.cli", "optimize", path, PYTHONIOENCODING="ascii")

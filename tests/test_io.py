@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -155,6 +156,16 @@ class TestSvg:
         svg = render_curve_svg(grid, columns)
         assert svg.count("<polyline") == 4
         assert svg.startswith("<svg")
+
+    @pytest.mark.parametrize("z, column", [
+        ([0.0, 1.0, 2.0], [-1.7e308, 0.0, 1.7e308]),
+        ([-1.7e308, 0.0, 1.7e308], [0.0, 1.0, 2.0]),
+    ])
+    def test_a_span_beyond_the_largest_float_is_drawn(self, z, column):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning either
+            svg = render_curve_svg(z, [column])
+        assert 'points="40.00,440.00 320.00,240.00 600.00,40.00"' in svg
 
 
 @pytest.mark.parametrize(

@@ -240,6 +240,22 @@ def test_huge_grid_in_bounded_work(monkeypatch, steps, points, memory):
     assert best_z == window[first]
 
 
+@pytest.mark.parametrize("z_max", [0.0, 5e-324])
+def test_flat_huge_grid_in_bounded_work(monkeypatch, z_max):
+    """On a grid of one or two values of z, ranges that tie with the best
+    value scanned are dropped: 2**53 steps take about 5 million points of ebis."""
+    budget = [8 * 10**6]
+
+    def counting_ebis(z, batch, out=None):
+        budget[0] -= z.size
+        if budget[0] < 0:
+            raise RuntimeError("more than 8e6 points of ebis")
+        return ebis(z, batch, out)
+
+    monkeypatch.setattr("secinvest.optimize.ebis", counting_ebis)
+    assert grid_oracle(period(), z_max, 2**53) == 0.0
+
+
 _periods = st.builds(
     period,
     v=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 5e-324, 1e-310])),

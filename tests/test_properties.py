@@ -9,7 +9,7 @@ CSVs equals the one formatted from scalar evaluations, and every invalid
 input (nan, +-inf, bools, 400-digit ints, out-of-range values) fails with a
 ModelError subclass, in the library and through the CLI.
 The array SVG renderer draws what a per-point reference renderer draws from
-the CSV of the same floats, in the library and through the CLI, the table
+the same floats, in the library and through the CLI, the table
 writer's lines are those of Python's ``%``, and the columnar scenario parser
 gives what a per-period reference parser gives.
 """
@@ -39,6 +39,7 @@ from secinvest import (
     closed_form_optimum,
     delta_z,
     ebis_eval,
+    ebis_mix_curve,
     emit_curve_csv,
     emit_mix_csv,
     enbis_eval,
@@ -54,7 +55,7 @@ from secinvest import (
 from secinvest.analysis import SHIFT_TOLERANCE
 from secinvest.model import breach, ebis
 from secinvest.optimize import _optima, z_star
-from secinvest.scenario_io import _as_printed, fmt, fmt_rows
+from secinvest.scenario_io import fmt, fmt_rows
 
 PROPERTY = settings(deadline=None, max_examples=150)
 CLI_PROPERTY = settings(deadline=None, max_examples=60)
@@ -376,16 +377,10 @@ def test_mix_rows_match_scalar_evaluation(v, loss, alpha, beta, alpha_post, beta
     assert rows[1:] == expected
 
 
-def per_point_svg(csv_text, width=640, height=480):
+def per_point_svg(z, *columns, width=640, height=480):
     """The per-point renderer that ``render_curve_svg`` replaced: every column
-    after the first against the first, one Python expression per point."""
-    rows = [
-        line.split(",")
-        for line in csv_text.splitlines()
-        if line and not line.startswith("#")
-    ]
-    header, data = rows[0], rows[1:]
-    xs = [float(r[0]) for r in data]
+    against ``z``, one Python expression per point."""
+    xs = [float(x) for x in z]
     x_lo, x_hi = min(xs), max(xs)
     x_span = (x_hi - x_lo) or 1.0
     margin = 40.0
@@ -394,8 +389,8 @@ def per_point_svg(csv_text, width=640, height=480):
         f'height="{height}" viewBox="0 0 {width} {height}">'
     ]
     colors = ["#1f77b4", "#2ca02c", "#d62728", "#9467bd"]
-    for col in range(1, len(header)):
-        ys = [float(r[col]) for r in data]
+    for col, column in enumerate(columns):
+        ys = [float(y) for y in column]
         y_lo, y_hi = min(ys), max(ys)
         y_span = (y_hi - y_lo) or 1.0
         pts = " ".join(
@@ -403,7 +398,7 @@ def per_point_svg(csv_text, width=640, height=480):
             f"{height - margin - (y - y_lo) / y_span * (height - 2 * margin):.2f}"
             for x, y in zip(xs, ys)
         )
-        color = colors[(col - 1) % len(colors)]
+        color = colors[col % len(colors)]
         parts.append(
             f'<polyline fill="none" stroke="{color}" points="{pts}"/>'
         )
@@ -411,15 +406,8 @@ def per_point_svg(csv_text, width=640, height=480):
     return "\n".join(parts) + "\n"
 
 
-def csv_of(z, columns):
-    """The curve CSV that ``fmt`` makes from ``z`` and ``columns``."""
-    header = ",".join(["z", *(f"c{i}" for i in range(len(columns)))])
-    body = [",".join(map(fmt, row)) for row in zip(z, *columns)]
-    return "\n".join([header, *body, "# z_star_0=1.000000"]) + "\n"
-
-
-# raw floats: -1e-9 prints as -0.000000, (k + 0.5) / 1e6 lies next to a
-# half of the sixth decimal, and 1e9-1e12 is where _as_printed falls back
+# raw floats: -0.0 and -1e-9 next to 0.0, (k + 0.5) / 1e6 halfway between
+# 6-decimal values, and magnitudes up to 1e12
 raw_floats = st.one_of(
     st.floats(-1e9, 1e9),
     st.floats(-1e12, 1e12),
@@ -447,7 +435,7 @@ def svg_column(draw, extent, rows):
 def test_svg_equals_the_per_point_renderer(curves, rows, data):
     # 560 and 400 are the plot's width and height inside the margins
     z, *columns = [data.draw(svg_column(extent, rows)) for extent in [560] + [400] * curves]
-    expected = per_point_svg(csv_of(z, columns))
+    expected = per_point_svg(z, *columns)
     assert render_curve_svg(np.array(z), [np.array(c) for c in columns]) == expected
 
 
@@ -460,15 +448,6 @@ printed_floats = st.one_of(
     st.integers(-2**24, 2**24).map(lambda k: 2.0**33 + k * 2.0**-20),
     st.floats(-1e-6, 0.0) | st.just(-1e-9),
 )
-
-
-@PROPERTY
-@given(st.lists(printed_floats, min_size=1, max_size=40))
-@example([-0.0, -1e-9, 5e-7, -5e-324, 2.0**33, np.nextafter(2.0**33, 0), 1.7976931348623157e308])
-def test_as_printed_is_the_value_its_cell_reads_back(values):
-    expected = np.array([float(fmt(v)) for v in values])
-    # bitwise, so -0.0 (from -1e-9) and 0.0 (from -0.0) count as different
-    assert _as_printed(np.array(values)).view(np.int64).tolist() == expected.view(np.int64).tolist()
 
 
 def cycled(values, rows, shift):
@@ -776,11 +755,6 @@ def test_delta_z_lines_are_the_report_fields(scenario_dir, rows, mode, threshold
     assert (code, err) == (0, "")
 
 
-def csv_cells_from(csv_text, first):
-    """The curve CSV with the columns ahead of ``first`` dropped."""
-    return "\n".join(",".join(line.split(",")[first:]) for line in csv_text.splitlines()) + "\n"
-
-
 @pytest.mark.parametrize("argv", [
     ["curve", "--include-disrupted"],
     ["curve", "--include-disrupted", "--loss=0", "--z-max=3"],  # constant EBIS columns
@@ -791,6 +765,15 @@ def test_cli_svg_equals_the_per_point_renderer_of_its_csv(tmp_path, argv):
     svg = tmp_path / "out.svg"
     code, out, err = run(argv_for(argv[0], PERIOD_FLAGS) + argv[1:] + ["--steps=10", f"--svg={svg}"])
     assert (code, err) == (0, "")
-    # index and branch, the columns ahead of a mix CSV's z, are not drawn
-    first = 2 if argv[0] == "mix-curve" else 0
-    assert svg.read_text() == per_point_svg(csv_cells_from(out, first))
+    # the arrays behind the CSV's drawn columns, from the library
+    flags = dict(PERIOD_FLAGS, **dict(arg.split("=") for arg in argv[1:] if "=" in arg))
+    loss = float(flags["--loss"])
+    z = np.linspace(0.0, float(flags.get("--z-max", 0.5 * loss)), 11)
+    if argv[0] == "curve":  # each curve's ebis and enbis, without and with the dummy
+        curves = [ebis_eval(z, make_period(0.5, loss, 1.0, 1.0, d)) for d in (0, 1)]
+        columns = [column for curve in curves for column in (curve, curve - z)]
+    else:
+        pre = make_period(0.5, loss, 1.0, 1.0, 0)
+        post = make_period(0.5, loss, float(flags.get("--alpha-post", 1)), 1.0, 1)
+        columns = [ebis_mix_curve(pre, post, int(flags["--switch-index"]), z)]
+    assert svg.read_text() == per_point_svg(z, *columns)
