@@ -10,7 +10,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -45,10 +45,11 @@ _DOMAIN = {
 
 def _check(name: str, value, field: str | None = None) -> None:
     """Reject anything but a finite real number in the domain of ``field``
-    (by default ``name``); bools (``np.bool_`` too), non-numbers, nan, +-inf
-    and ints too large for a float are not finite numbers."""
+    (by default ``name``); bools (``np.bool_`` too), numbers that are not
+    ``numbers.Real`` (such as ``Decimal``), nan, +-inf and ints too large for
+    a float are not finite real numbers."""
     try:
-        finite = not isinstance(value, (bool, np.bool_)) and math.isfinite(value)
+        finite = isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
     except (TypeError, OverflowError):
         finite = False
     if not finite:

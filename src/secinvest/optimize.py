@@ -26,6 +26,7 @@ from .model import (
 )
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_LN2 = math.log(2.0)
 # each step shrinks the bracket by _INV_PHI, and 3100 steps take even the
 # largest float below the smallest one; the cap only ends searches whose tol
 # is finer than the float spacing near the optimum
@@ -58,59 +59,47 @@ def z_star(batch: PeriodBatch) -> ArrayLike:
 
     Setting the derivative to zero gives (alpha*z + 1)**(k+1) = alpha*k*v*L
     with k the technology exponent; when the right-hand side is <= 1 the
-    objective is nonincreasing and the corner z = 0 is optimal. The logs and
-    expm1 go through ``math``, whose last bit numpy's do not always match.
+    objective is nonincreasing and the corner z = 0 is optimal. The product
+    is carried exactly as (hi + lo) * 2**e, so it neither overflows nor loses
+    the digits that decide z* near the corner.
     """
-    alpha, k = batch.alpha, batch.k
-    with np.errstate(over="ignore", invalid="ignore"):
-        interior = alpha * k * batch.v * batch.loss
-    # expm1 keeps full precision as interior -> 1 (the corner); a corner's
-    # log is 0, which gives z = 0
-    return _map(math.expm1, _log_interior(interior, batch) / (k + 1.0)) / alpha
+    # hi in [1/16, 1), or 0 where a factor is 0: the frexp mantissas
+    # multiplied in double-double, and the exponents summed as integers
+    mantissas, exponents = np.frexp(batch)
+    hi, lo, e = mantissas[0], 0.0, exponents.sum(axis=0)
+    for m in mantissas[1:]:
+        hi, error = _two_product(hi, m)
+        lo = lo * m + error
+    # the exponent where ldexp(hi, e) is a normal float, else 0
+    scale = np.where(np.abs(e) < 1000, e, 0)
+    with np.errstate(divide="ignore"):  # log 0 where v or L is 0: a corner
+        p = np.ldexp(hi, scale)
+        log = np.log(p) + (e - scale) * _LN2
+        # on (0.5, 2), p - 1 is exact (Sterbenz), so log1p also sees lo
+        near = (0.5 < p) & (p < 2.0) & (e == scale)
+        log = np.where(near, np.log1p((p - 1.0) + np.ldexp(lo, scale)), log)
+    # expm1 keeps full precision as the product -> 1 (the corner)
+    return np.expm1(np.fmax(log, 0.0) / (batch.k + 1.0)) / batch.alpha
 
 
-def _log_interior(interior: ArrayLike, batch: PeriodBatch) -> ArrayLike:
-    """``_log_above_one`` of the products alpha*k*v*L. Where a partial
-    product overflowed, no factor is zero and the true product may still lie
-    at or below 1, so the log is taken from the factors."""
-    if isinstance(interior, float):  # a one-period view
-        log = _log_above_one(interior)
-        return _log_product(*batch) if log == math.inf else log
-    log = _map(_log_above_one, interior)
-    over = log == math.inf
-    if over.any():
-        log[over] = [_log_product(*row) for row in zip(*(x[over].tolist() for x in batch))]
-    return log
+def _two_product(a: ArrayLike, b: ArrayLike) -> tuple[ArrayLike, ArrayLike]:
+    """a*b exactly, as the rounded product and its error (Dekker's
+    TwoProduct over Veltkamp splits), for factors below 2**995 in size."""
+    product = a * b
+    (a1, a2), (b1, b2) = _split(a), _split(b)
+    return product, a2 * b2 - (((product - a1 * b1) - a2 * b1) - a1 * b2)
 
 
-def _log_above_one(x: float) -> float:
-    return math.log(x) if x > 1.0 else 0.0  # nan (inf * 0) is a corner
-
-
-def _log_product(*factors: float) -> float:
-    """``_log_above_one`` of a product of positive floats whose partial
-    products overflow. The mantissas are multiplied and the exponents added,
-    which rounds as the direct product would; a product beyond the largest
-    float is the sum of the logs."""
-    mantissa, exponent = 1.0, 0
-    for m, e in map(math.frexp, factors):
-        mantissa, exponent = mantissa * m, exponent + e
-    try:
-        return _log_above_one(math.ldexp(mantissa, exponent))
-    except OverflowError:
-        return sum(map(math.log, factors))
-
-
-def _map(fn, values: ArrayLike) -> ArrayLike:
-    """``fn`` of a float, or of each value of a float array."""
-    if isinstance(values, float):
-        return fn(values)
-    return np.fromiter(map(fn, values.tolist()), float, values.size)
+def _split(a: ArrayLike) -> tuple[ArrayLike, ArrayLike]:
+    """``a`` as the sum of two halves of at most 26 significant bits each."""
+    c = 134217729.0 * a  # 2**27 + 1
+    high = c - (c - a)
+    return high, a - high
 
 
 def closed_form_optimum(period: PeriodSpec) -> float:
     """Optimal investment of one period: the one-period view of ``z_star``."""
-    return z_star(PeriodBatch.one(period))
+    return float(z_star(PeriodBatch.one(period)))
 
 
 def golden_section_optimum(period: PeriodSpec, z_max: float, tol: float) -> float:
@@ -178,8 +167,9 @@ def grid_oracle(period: PeriodSpec, z_max: float, steps: int) -> float:
     to right, and one whose bound lies strictly below the best value seen is
     dropped, as it holds no maximum. So is one whose bound is not above the
     best value of the leaves scanned: it lies after them, so a tie there is
-    not the first maximum, and a flat grid of 2**53 steps takes about 5
-    million points. The points of the leaves
+    not the first maximum. A range is checked when it is visited, against the
+    values seen by then, so a flat grid of 10**8 steps takes about 70,000
+    points and one of 2**53 steps about 330,000. The points of the leaves
     are scanned in index order, and a later block wins only with a greater
     value, so ties break toward the smallest z. Each call of ebis takes at
     most ``_ORACLE_BLOCK`` points, formed in buffers that the oracle's call
@@ -208,13 +198,21 @@ def grid_oracle(period: PeriodSpec, z_max: float, steps: int) -> float:
     index, points, values = np.empty(_ORACLE_BLOCK, np.int64), np.empty(_ORACLE_BLOCK), np.empty(_ORACLE_BLOCK)
     offsets = np.arange(leaf)  # of a leaf's points from its start
     incumbent, best, best_z = -math.inf, -math.inf, 0.0
-    live = [(np.zeros(1, np.int64), width)]  # ascending range starts, and their width
+    # ascending range starts, their bounds and their width
+    live = [(np.zeros(1, np.int64), np.full(1, math.inf), width)]
     while live:
-        start, width = live.pop()
+        start, bound, width = live.pop()
+        # a range whose bound lies strictly below the best value seen holds
+        # no maximum; the ranges left to visit lie after the leaves scanned,
+        # so neither does one that only ties with their best
+        keep = (bound >= incumbent) & (bound > best)
+        start, bound = start[keep], bound[keep]
+        if not start.size:
+            continue
         child = width // _ORACLE_FAN if width > leaf else 1
         head = _ORACLE_BLOCK * child // width
         if start.size > head:
-            live.append((start[head:], width))
+            live.append((start[head:], bound[head:], width))
             start = start[:head]
         offset = offsets if child == 1 else np.arange(0, width, child)
         i = index[: start.size * offset.size].reshape(start.size, offset.size)
@@ -238,11 +236,7 @@ def grid_oracle(period: PeriodSpec, z_max: float, steps: int) -> float:
             # where step is subnormal, linspace's z_max may lie below the
             # point before it, so the range ending there is never dropped
             bound[-1] = math.inf
-        # the ranges left to visit lie after the leaves scanned, so a tie with
-        # their best is not the first maximum
-        start = i[(bound >= incumbent) & (bound > best)]
-        if start.size:
-            live.append((start, child))
+        live.append((i.copy(), bound, child))  # i is a view of the index buffer
     return best_z
 
 

@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from secinvest import (
     Scenario,
     TechnologyProfile,
     classify_disruptive,
+    delta_z,
     ebis_eval,
     ebis_mix_curve,
     emit_curve_csv,
@@ -332,6 +335,22 @@ class TestLibraryArguments:
     def test_rejected_naming_the_argument(self, name, call):
         with pytest.raises(DomainError, match=f"^{name} must be "):
             call()
+
+    @pytest.mark.parametrize("name, call", [
+        ("v", lambda: sbpf_eval(1.0, Decimal("0.1"), T0)),
+        ("enbis_a", lambda: classify_disruptive(Decimal("1"), 1.0, 0.1)),
+        ("threshold", lambda: delta_z(Scenario("a", (period(),)), InvestmentPlan((1.0,)),
+                                      Scenario("b", (period(),)), InvestmentPlan((1.0,)),
+                                      threshold=Decimal("0.1"))),
+        ("alpha", lambda: TechnologyProfile(Decimal("1.5"), 1.0, 0)),
+    ])
+    def test_numbers_that_are_not_real_are_rejected(self, name, call):
+        with pytest.raises(DomainError, match=f"^{name} must be a finite number, got Decimal"):
+            call()
+
+    def test_other_real_numbers_are_accepted(self):
+        tech = TechnologyProfile(Fraction(3, 2), np.float32(2.0), 0)
+        assert sbpf_eval(1.0, Fraction(1, 2), tech) == sbpf_eval(1.0, 0.5, TechnologyProfile(1.5, 2.0, 0))
 
     def test_numpy_integer_counts_are_accepted(self):
         p = period()

@@ -42,6 +42,43 @@ def random_period(rng):
     )
 
 
+def _with_product(product, v, alpha, beta, d):
+    """The period whose loss makes alpha*k*v*L about ``product``, rounded."""
+    return period(v, product / (alpha * (beta + d) * v), alpha, beta, d)
+
+
+_technology = (st.floats(0.1, 1.0), st.floats(0.01, 10.0), st.floats(1.0, 5.0), st.sampled_from([0, 1]))
+# alpha*k*v*L within 1e-15 to 1e-2 of the corner on either side, where the
+# float product is rounded; above it up to 1e30; and factors from 1e-300 to 1e308
+_near_corner = st.builds(
+    _with_product, st.builds(lambda s, x: 1.0 + s * 10.0**x, st.sampled_from([-1.0, 1.0]), st.floats(-15.0, -2.0)),
+    *_technology)
+_interior = st.builds(_with_product, st.floats(-2.0, 30.0).map(lambda x: 1.0 + 10.0**x), *_technology)
+_powers = st.floats(-300.0, 308.0).map(lambda x: 10.0**x)
+_extreme = st.builds(period, st.floats(-300.0, 0.0).map(lambda x: 10.0**x), _powers, _powers,
+                     st.floats(0.0, 308.0).map(lambda x: 10.0**x), st.sampled_from([0, 1]))
+
+
+def _assert_records_within_the_error_bound(ps):
+    """Each record of ``optimize_scenario`` is the one-period view of its
+    period, within the kernel's error bound of 50-digit mpmath, and its
+    breach probability and EBIS are the scalar evaluations at its z*."""
+    mpmath = pytest.importorskip("mpmath")
+    for r, p in zip(optimize_scenario(Scenario("s", tuple(ps))).per_period, ps):
+        with mpmath.workdps(50):
+            # at the kernel's own exponent, so that only the kernel's error counts
+            alpha, k = mpmath.mpf(p.technology.alpha), mpmath.mpf(p.technology.exponent)
+            t = max(mpmath.log(alpha * k * mpmath.mpf(p.vulnerability) * mpmath.mpf(p.loss)), 0) / (k + 1)
+            exact = mpmath.expm1(t) / alpha
+            # exp of the rounded t costs about t ulps; a subnormal z an ulp of 2**-1074
+            bound = 16 * (1 + t) * mpmath.mpf(2) ** -53 * exact + mpmath.mpf(2) ** -1074
+            assert abs(r.z_star - exact) <= bound
+        assert r.z_star == closed_form_optimum(p)
+        assert r.breach_probability_at_optimum == sbpf_eval(
+            r.z_star, p.vulnerability, p.technology)
+        assert r.ebis_at_optimum == ebis_eval(r.z_star, p)
+
+
 class TestClosedForm:
     def test_vl_ten_matches_sqrt(self):
         # grid-oracle frozen value: sqrt(10) - 1
@@ -240,20 +277,34 @@ def test_huge_grid_in_bounded_work(monkeypatch, steps, points, memory):
     assert best_z == window[first]
 
 
-@pytest.mark.parametrize("z_max", [0.0, 5e-324])
-def test_flat_huge_grid_in_bounded_work(monkeypatch, z_max):
-    """On a grid of one or two values of z, ranges that tie with the best
-    value scanned are dropped: 2**53 steps take about 5 million points of ebis."""
-    budget = [8 * 10**6]
+def count_ebis(monkeypatch, budget):
+    """Make the oracle's ebis raise once it has taken more than ``budget`` points."""
+    left = [budget]
 
     def counting_ebis(z, batch, out=None):
-        budget[0] -= z.size
-        if budget[0] < 0:
-            raise RuntimeError("more than 8e6 points of ebis")
+        left[0] -= z.size
+        if left[0] < 0:
+            raise RuntimeError(f"more than {budget} points of ebis")
         return ebis(z, batch, out)
 
     monkeypatch.setattr("secinvest.optimize.ebis", counting_ebis)
+
+
+@pytest.mark.parametrize("z_max", [0.0, 5e-324])
+def test_flat_huge_grid_in_bounded_work(monkeypatch, z_max):
+    """On a grid of one or two values of z, ranges that tie with the best
+    value scanned are dropped: 2**53 steps take about 330,000 points of ebis."""
+    count_ebis(monkeypatch, 8 * 10**6)
     assert grid_oracle(period(), z_max, 2**53) == 0.0
+
+
+@pytest.mark.parametrize("z_max", [0.0, 5e-324])
+def test_ranges_queued_before_the_first_scan_are_bounded_again(monkeypatch, z_max):
+    """The first descent queues whole blocks of ranges while no value has been
+    scanned; they are checked against the best value when popped, so 10**8
+    steps take about 70,000 points, not 45 million."""
+    count_ebis(monkeypatch, 10**6)
+    assert grid_oracle(period(), z_max, 10**8) == 0.0
 
 
 _periods = st.builds(
@@ -382,15 +433,12 @@ class TestOptimizeScenario:
         rng = np.random.default_rng(41)
         ps = [period(rng.uniform(0.1, 1.0), rng.uniform(1.0, 1e6),
                      rng.uniform(0.01, 10.0), beta, d) for _ in range(200)]
-        for r, p in zip(optimize_scenario(Scenario("s", tuple(ps))).per_period, ps):
-            # the closed form on Python floats, without overflow
-            alpha, k = p.technology.alpha, p.technology.exponent
-            interior = alpha * k * p.vulnerability * p.loss
-            z = math.expm1(math.log(interior) / (k + 1.0)) / alpha if interior > 1.0 else 0.0
-            assert r.z_star == closed_form_optimum(p) == z
-            assert r.breach_probability_at_optimum == sbpf_eval(
-                r.z_star, p.vulnerability, p.technology)
-            assert r.ebis_at_optimum == ebis_eval(r.z_star, p)
+        _assert_records_within_the_error_bound(ps)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.lists(st.one_of(_near_corner, _interior, _extreme), min_size=1, max_size=20))
+    def test_records_within_the_error_bound(self, ps):
+        _assert_records_within_the_error_bound(ps)
 
     def test_total_consistent_with_enbis_eval(self):
         rng = np.random.default_rng(21)
