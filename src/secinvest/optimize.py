@@ -34,6 +34,9 @@ _GOLDEN_MAX_STEPS = 3100
 # grid points per block of grid_oracle: 256 KiB of floats, so a block and its
 # values stay in a 4 MiB L2 cache; 32768 and 65536 ran equally fast
 _ORACLE_BLOCK = 32768
+# points of a grid_oracle leaf at most: a level's ranges go to ebis in one
+# call, so smaller leaves scan fewer points near a peak in as many calls
+_ORACLE_LEAF = 1024
 # grid_oracle splits ranges 16 ways; smaller fans take more levels of calls
 _ORACLE_FAN = 16
 # a row of OptimizationResult.per_period
@@ -172,11 +175,9 @@ def grid_oracle(period: PeriodSpec, z_max: float, steps: int) -> float:
     points and one of 2**53 steps about 330,000. The points of the leaves
     are scanned in index order, and a later block wins only with a greater
     value, so ties break toward the smallest z. Each call of ebis takes at
-    most ``_ORACLE_BLOCK`` points, formed in buffers that the oracle's call
-    allocates once, and a leaf is never wider than that. The bound is loose
-    by about a range's width in z, so near a smooth peak 1e6 steps scan
-    5e4 to 2.5e5 points in 4 to 10 calls of ebis, and 10**12 steps 7.3
-    million points.
+    most ``_ORACLE_BLOCK`` points, in buffers allocated once per call. The
+    bound is loose by about a range's width in z, so near a smooth peak 1e6
+    steps scan 1.6e3 to 4.1e4 points in 4 or 5 calls, 10**12 steps 7.3e6.
     """
     _check("z_max", z_max, "loss")
     _check("steps", steps)
@@ -185,11 +186,9 @@ def grid_oracle(period: PeriodSpec, z_max: float, steps: int) -> float:
     # pow is within an ulp, so ebis may dip by a few ulps of v*L where it
     # should rise; among subnormals, by a unit of 5e-324 in S and in ebis
     pad = (8 * math.ulp(1.0) * batch.v + 1e-322) * batch.loss + 1e-322
-    # Near a peak the points scanned grow as sqrt(leaf * steps). Leaves of
-    # steps/8 points up to 2**18 steps, a block up to 2**22 and 2**37/steps
-    # beyond, but at least 32, keep them near a block up to 2**32 steps, so
-    # that a call spends its time in arithmetic, not in per-call overhead.
-    leaf = max(32, min(steps // 8, 2**37 // steps, _ORACLE_BLOCK))
+    # Near a peak the points scanned grow as sqrt(leaf * steps). Leaves hold
+    # steps/8 points up to 2**13 steps, 1024 up to 2**27, 2**37/steps beyond.
+    leaf = max(32, min(steps // 8, 2**37 // steps, _ORACLE_LEAF))
     width = leaf
     while width <= steps:
         width *= _ORACLE_FAN
@@ -202,6 +201,14 @@ def grid_oracle(period: PeriodSpec, z_max: float, steps: int) -> float:
     live = [(np.zeros(1, np.int64), np.full(1, math.inf), width)]
     while live:
         start, bound, width = live.pop()
+        child = width // _ORACLE_FAN if width > leaf else 1
+        head = _ORACLE_BLOCK * child // width
+        # the ranges of a few calls: checking all that are left on each pop
+        # took time quadratic in their number
+        cut = _ORACLE_FAN * head
+        if start.size > cut:
+            live.append((start[cut:], bound[cut:], width))
+            start, bound = start[:cut], bound[:cut]
         # a range whose bound lies strictly below the best value seen holds
         # no maximum; the ranges left to visit lie after the leaves scanned,
         # so neither does one that only ties with their best
@@ -209,8 +216,6 @@ def grid_oracle(period: PeriodSpec, z_max: float, steps: int) -> float:
         start, bound = start[keep], bound[keep]
         if not start.size:
             continue
-        child = width // _ORACLE_FAN if width > leaf else 1
-        head = _ORACLE_BLOCK * child // width
         if start.size > head:
             live.append((start[head:], bound[head:], width))
             start = start[:head]

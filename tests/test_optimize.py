@@ -198,8 +198,9 @@ _B = _ORACLE_BLOCK
 # and 3 steps its points are 0, 0, 5e-324, 5e-324, not 0, 0, 0, 5e-324
 @pytest.mark.parametrize("z_max, steps", [
     (0.0, 1), (5e-324, 3), (5e-320, _B + 1), (10.0, 3 * _B + 7), (10.0, 2 * _B), (LARGEST, 3), (LARGEST, _B + 1),
-    # leaves of a block, the last one cut short by steps; at 2**20 steps the
-    # last leaf holds only the point at steps, where the maximum lies
+    # leaves of 1024 points: at 10**6 steps the last one is cut short by
+    # steps; 1024 divides 2**20, so there the last leaf holds only the point
+    # at steps, where the maximum lies
     (10.0, 10**6), (1.0, 2**20),
 ])
 def test_blocks_are_the_uniform_grid(monkeypatch, z_max, steps):
@@ -240,10 +241,11 @@ def test_blocks_are_the_uniform_grid(monkeypatch, z_max, steps):
     assert covered.all()
 
 
-# leaves of 2**37/steps points: 1374 at 10**8 steps, 137 at 10**12; the
-# budgets are the measured 0.42 and 7.3 million points of ebis and peaks of
-# 0.93 and 2.2 MB, with some room: a few blocks per level
-@pytest.mark.parametrize("steps, points, memory", [(10**8, 5 * 10**5, 1.3e6), (10**12, 8 * 10**6, 8e6)],
+# leaves of 1024 points at 10**8 steps (2**37/steps is 1374) and of 32 at
+# 10**12 (2**37/steps is 0); the budgets are the measured 362,618 and 7.3
+# million points of ebis and peaks of 0.98 and 2.8 MB, with some room: a
+# few blocks per level
+@pytest.mark.parametrize("steps, points, memory", [(10**8, 4 * 10**5, 1.3e6), (10**12, 8 * 10**6, 8e6)],
                          ids=["1e8", "1e12"])
 def test_huge_grid_in_bounded_work(monkeypatch, steps, points, memory):
     """A grid of 10**8 or 10**12 steps takes a bounded number of points of
@@ -290,6 +292,15 @@ def count_ebis(monkeypatch, budget):
     monkeypatch.setattr("secinvest.optimize.ebis", counting_ebis)
 
 
+@pytest.mark.parametrize("steps", [10**6, 2**20])
+def test_leaves_near_a_peak_keep_the_scan_narrow(monkeypatch, steps):
+    """Near a smooth peak the points scanned grow as sqrt(leaf * steps):
+    leaves of 1024 points take about 37,000 points of ebis at 10**6 and 2**20
+    steps, where leaves of 32768 took about 250,000 and 200,000."""
+    count_ebis(monkeypatch, 60_000)
+    assert grid_oracle(period(), 10.0, steps) == pytest.approx(math.sqrt(10) - 1, abs=2 * 10.0 / steps)
+
+
 @pytest.mark.parametrize("z_max", [0.0, 5e-324])
 def test_flat_huge_grid_in_bounded_work(monkeypatch, z_max):
     """On a grid of one or two values of z, ranges that tie with the best
@@ -317,19 +328,19 @@ _periods = st.builds(
 )
 
 
-@settings(deadline=None, max_examples=60)
-@given(
-    p=_periods,
-    z_max=st.one_of(
-        st.sampled_from([0.0, 5e-324, LARGEST]),
-        st.floats(0.0, 1e-300),  # subnormal steps, or ones that underflow to 0
-        st.floats(0.0, LARGEST),
-        st.floats(0.0, 100.0),  # an interior peak, for a loss up to 100
-    ),
-    steps=st.one_of(
-        st.sampled_from([1, 2, _B - 1, _B, _B + 1, 3 * _B + 7, 2 * 10**5]), st.integers(1, 2 * 10**5)
-    ),
+_z_maxes = st.one_of(
+    st.sampled_from([0.0, 5e-324, LARGEST]),
+    st.floats(0.0, 1e-300),  # subnormal steps, or ones that underflow to 0
+    st.floats(0.0, LARGEST),
+    st.floats(0.0, 100.0),  # an interior peak, for a loss up to 100
 )
+_steps = st.one_of(
+    st.sampled_from([1, 2, _B - 1, _B, _B + 1, 3 * _B + 7, 2 * 10**5]), st.integers(1, 2 * 10**5)
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(p=_periods, z_max=_z_maxes, steps=_steps)
 @example(period(v=0.0), 0.0, 3 * _B + 7)  # flat: every value ties at z = 0
 @example(period(v=0.0), 5e-324, 3 * _B + 7)
 @example(period(v=0.0), 5e-324, 3)  # i/steps*z_max differs from i*step here
@@ -342,8 +353,8 @@ _periods = st.builds(
 @example(period(beta=1.0, d=1), 20.0, 2 * 10**5)
 @example(period(beta=2.0, d=0), 20.0, 2 * 10**5)
 @example(period(v=1e-310, loss=1e300, alpha=1e12), 1e-10, 2 * 10**5)  # subnormal v
-# leaves of a block at 10**6 and 2**20 steps; at 2**20 the last leaf holds
-# only the point at steps, here the maximum
+# leaves of 1024 points at 10**6 and 2**20 steps; 1024 divides 2**20, so
+# there the last leaf holds only the point at steps, here the maximum
 @example(period(), 20.0, 10**6)
 @example(period(beta=2.0, d=0), 1.0, 2**20)
 # a subnormal step: linspace's last point, z_max, lies below the one before
@@ -355,6 +366,22 @@ def test_blocks_give_the_first_argmax_over_the_whole_grid(p, z_max, steps):
     values -= z
     expected = float(z[int(np.argmax(values))])
     assert grid_oracle(p, z_max, steps).hex() == expected.hex()
+
+
+@settings(deadline=None, max_examples=40)
+@given(p=_periods, z_max=_z_maxes, steps=_steps)
+@example(period(), 20.0, 10**6)
+@example(period(beta=2.0, d=0), 1.0, 2**20)  # the last leaf of 1024 points is one point
+@example(period(v=1.0, loss=1e30), 2e15, 4 * _B)  # a plateau of ties across leaves
+def test_leaf_size_does_not_change_the_result(p, z_max, steps):
+    """Leaves of 32, 1024 or 32768 points give the same first maximum: the
+    leaf only decides how far ranges are split before their points are scanned."""
+    results = set()
+    for leaf in (32, 1024, 32768):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("secinvest.optimize._ORACLE_LEAF", leaf)
+            results.add(grid_oracle(p, z_max, steps).hex())
+    assert len(results) == 1
 
 
 _MIX = np.uint64(0x9E3779B97F4A7C15)  # 2**64 / golden ratio, for a hash of z's bits

@@ -244,6 +244,66 @@ def test_sweep_records_are_per_tuple_optima(alpha_axis, beta_axis, v_axis, loss_
         assert table[name].tolist() == list(column), name
 
 
+def shift_rule(alpha, beta, v, loss):
+    """The sign of z*_d - z*_0 in exact arithmetic: -1, 0 or 1.
+
+    With P0 = alpha*k*v*L and P1 = alpha*(k+1)*v*L, both optima are 0 where
+    P1 <= 1, and only z*_d is positive where P0 <= 1 < P1. Otherwise
+    z* = ((alpha*k*v*L)**(1/(k+1)) - 1)/alpha, so z*_d > z*_0 exactly when
+    log(P1)/(k+2) > log(P0)/(k+1), that is (k+1)*log((k+1)/k) > log(P0), or
+    P0 < (1 + 1/k)**(k+1). The sweep's disrupted exponent is the float
+    beta + 1.0; where that sum rounds, the first form is compared instead.
+    """
+    with mpmath.workdps(80):  # a product of four doubles is exact in 64 digits
+        k, kd = mpmath.mpf(beta), mpmath.mpf(beta + 1.0)
+        p0 = mpmath.mpf(alpha) * k * mpmath.mpf(v) * mpmath.mpf(loss)
+        p1 = p0 * kd / k
+        if p1 <= 1:
+            return 0
+        if p0 <= 1:
+            return 1
+        if kd == k + 1:
+            return int(mpmath.sign((k + 1) * mpmath.log1p(1 / k) - mpmath.log(p0)))
+        return int(mpmath.sign(mpmath.log(p1) / (kd + 1) - mpmath.log(p0) / (k + 1)))
+
+
+def z_star_error_bound(alpha, k, v, loss):
+    """The closed form's error bound at the exponent k: 16 (1 + t) 2**-53 of
+    z*, with t = log(alpha*k*v*L)/(k+1), plus an ulp of 2**-1074."""
+    with mpmath.workdps(50):
+        alpha, k = mpmath.mpf(alpha), mpmath.mpf(k)
+        t = max(mpmath.log(alpha * k * mpmath.mpf(v) * mpmath.mpf(loss)), 0) / (k + 1)
+        return 16 * (1 + t) * mpmath.mpf(2) ** -53 * mpmath.expm1(t) / alpha + mpmath.mpf(2) ** -1074
+
+
+def _near_the_threshold(alpha, beta, v, side, digits, disrupted_corner):
+    """A tuple whose P0 lies a factor 1 +- 10**-digits from (1 + 1/k)**(k+1),
+    or whose P1 lies that far from 1."""
+    target = 1.0 / (1.0 + 1.0 / beta) if disrupted_corner else math.exp((beta + 1.0) * math.log1p(1.0 / beta))
+    return alpha, beta, v, target * (1.0 + side * 10.0**-digits) / (alpha * beta * v)
+
+
+shift_tuples = st.one_of(
+    st.tuples(st.one_of(alphas, st.floats(1e300, 1e308)), st.one_of(betas, st.sampled_from([1.0, 2.0])),
+              vulnerabilities, st.one_of(losses, st.sampled_from([0.0, 2.0, 1e308]))),
+    st.builds(_near_the_threshold, st.floats(1e-3, 1e3), st.one_of(st.sampled_from([1.0, 2.0]), st.floats(1.0, 50.0)),
+              st.floats(0.01, 1.0), st.sampled_from([-1.0, 1.0]), st.floats(1.0, 16.0), st.booleans()),
+)
+
+
+@PROPERTY
+@given(st.lists(shift_tuples, min_size=1, max_size=6))
+def test_sweep_direction_is_the_shift_rule(tuples):
+    """Wherever the two optima differ by more than SHIFT_TOLERANCE and their
+    error bounds, the sweep's direction is the sign of the exact shift."""
+    for alpha, beta, v, loss in tuples:
+        row = optimum_shift_sweep([alpha], [beta], [v], [loss])[0]
+        z0, zd = row.z_star_baseline, row.z_star_disrupted
+        slack = z_star_error_bound(alpha, beta, v, loss) + z_star_error_bound(alpha, beta + 1.0, v, loss)
+        if abs(zd - z0) > max(SHIFT_TOLERANCE, slack):
+            assert row.shift_direction == ("none", "right", "left")[shift_rule(alpha, beta, v, loss)]
+
+
 def sweep_axis(field, valid):
     """Axis values of which about three in four are valid: the others lie out
     of the field's range or are nan, +-inf, bools, ints beyond the float
