@@ -19,8 +19,9 @@ from .model import (
     TechnologyProfile,
     _check,
     _first_fault,
+    _numbers,
+    breach,
     enbis_eval,
-    sbpf_eval,
 )
 from .optimize import z_star
 
@@ -127,9 +128,9 @@ def dominance_check(
         raise ContractError(
             "periods must differ only in the disruption flag (baseline 0, disrupted 1)"
         )
-    v = period_baseline.vulnerability
-    s_0 = sbpf_eval(z_grid, v, base_t)
-    return bool(np.all(sbpf_eval(z_grid, v, period_disrupted.technology) <= s_0))
+    z = _numbers(z_grid)
+    s_0 = breach(z, PeriodBatch.one(period_baseline))
+    return bool(np.all(breach(z, PeriodBatch.one(period_disrupted)) <= s_0))
 
 
 def optimum_shift_sweep(

@@ -222,18 +222,28 @@ class PeriodBatch(NamedTuple):
         return cls(*map(float, (tech.alpha, tech.exponent, period.vulnerability, period.loss)))
 
 
-# alpha*z + 1 or its power may overflow to inf, which correctly gives S = 0
-@np.errstate(over="ignore")
 def breach(z: ArrayLike, batch: PeriodBatch, out: np.ndarray | None = None) -> ArrayLike:
     """The breach law S = v / (alpha*z + 1)**k with ``z`` broadcast against
     the periods: a float where ``z`` and the batch are floats (a one-period
     view at one point), else an array, in ``out`` if given."""
-    s = batch.alpha * z if out is None else np.multiply(batch.alpha, z, out=out)
+    if isinstance(batch.alpha, np.ndarray) or getattr(z, "ndim", 0):
+        return _breach_arrays(z, batch, out)
+    # Python floats: alpha*z + 1 overflows to inf without a warning, and s**k
+    # (s, k >= 1) overflows only where k*log2(s) >= 1024, so the errstate that
+    # numpy then needs is entered only there. np.power, not **: on floats it
+    # rounds as the array loop does, and squares where k is 2.
+    s = batch.alpha * float(z) + 1.0
+    if batch.k * math.log2(s) < 1000.0:
+        return batch.v / float(np.power(s, batch.k))
+    with np.errstate(over="ignore"):
+        return batch.v / float(np.power(s, batch.k))
+
+
+# alpha*z + 1 or its power may overflow to inf, which correctly gives S = 0
+@np.errstate(over="ignore")
+def _breach_arrays(z: ArrayLike, batch: PeriodBatch, out: np.ndarray | None) -> np.ndarray:
+    s = np.multiply(batch.alpha, z, out=out)
     s += 1.0
-    if not isinstance(s, np.ndarray):
-        # np.power, not **: on floats it rounds as the array loop does, and
-        # squares where k is 2
-        return batch.v / np.power(s, batch.k)
     if isinstance(batch.k, np.ndarray):
         # numpy squares where a scalar exponent is 2, and its pow can differ
         # from that in the last bit; square the same periods here
@@ -291,8 +301,8 @@ def sbpf_eval(z: ArrayLike, v: float, tech: TechnologyProfile) -> ArrayLike:
     """
     z_arr = _numbers(z)
     _check("v", v, "vulnerability")
-    # the loss plays no part in S
-    out = breach(z_arr, PeriodBatch(tech.alpha, tech.exponent, v, 0.0))
+    # floats, as in a one-period view; the loss plays no part in S
+    out = breach(z_arr, PeriodBatch(*map(float, (tech.alpha, tech.exponent, v, 0.0))))
     return _scalar_or_array(out)
 
 

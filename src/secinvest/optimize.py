@@ -177,7 +177,7 @@ def grid_oracle(period: PeriodSpec, z_max: float, steps: int) -> float:
     value, so ties break toward the smallest z. Each call of ebis takes at
     most ``_ORACLE_BLOCK`` points, in buffers allocated once per call. The
     bound is loose by about a range's width in z, so near a smooth peak 1e6
-    steps scan 1.6e3 to 4.1e4 points in 4 or 5 calls, 10**12 steps 7.3e6.
+    steps scan 2.6e3 to 4.1e4 points in 3 or 4 calls, 10**12 steps 7.4e6.
     """
     _check("z_max", z_max, "loss")
     _check("steps", steps)
@@ -189,8 +189,10 @@ def grid_oracle(period: PeriodSpec, z_max: float, steps: int) -> float:
     # Near a peak the points scanned grow as sqrt(leaf * steps). Leaves hold
     # steps/8 points up to 2**13 steps, 1024 up to 2**27, 2**37/steps beyond.
     leaf = max(32, min(steps // 8, 2**37 // steps, _ORACLE_LEAF))
-    width = leaf
-    while width <= steps:
+    # The search starts from each range of the first level above the leaves
+    # whose children's ends fit in one call of ebis (or from the one leaf)
+    width = leaf if steps < leaf else leaf * _ORACLE_FAN
+    while (steps // width + 1) * _ORACLE_FAN > _ORACLE_BLOCK:
         width *= _ORACLE_FAN
     # A block's indices, points and values are formed in these buffers, not
     # in fresh memory, which a call would fault in block by block
@@ -198,7 +200,10 @@ def grid_oracle(period: PeriodSpec, z_max: float, steps: int) -> float:
     offsets = np.arange(leaf)  # of a leaf's points from its start
     incumbent, best, best_z = -math.inf, -math.inf, 0.0
     # ascending range starts, their bounds and their width
-    live = [(np.zeros(1, np.int64), np.full(1, math.inf), width)]
+    # np.arange(0, steps + 1, width) would size itself in floats, one start
+    # short where steps + 1 rounds (2**53)
+    count = steps // width + 1
+    live = [(np.arange(count, dtype=np.int64) * width, np.full(count, math.inf), width)]
     while live:
         start, bound, width = live.pop()
         child = width // _ORACLE_FAN if width > leaf else 1

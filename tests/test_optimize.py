@@ -21,7 +21,7 @@ from secinvest import (
     sbpf_eval,
 )
 from secinvest.model import PeriodBatch, ebis
-from secinvest.optimize import _ORACLE_BLOCK, _grid_points, _uniform_grid
+from secinvest.optimize import _GOLDEN_MAX_STEPS, _INV_PHI, _ORACLE_BLOCK, _grid_points, _uniform_grid
 
 LARGEST = 1.7976931348623157e308
 
@@ -309,6 +309,15 @@ def test_flat_huge_grid_in_bounded_work(monkeypatch, z_max):
     assert grid_oracle(period(), z_max, 2**53) == 0.0
 
 
+@pytest.mark.parametrize("steps", [2**53, 2**53 - 1, 10**12 + 1])
+def test_the_first_level_reaches_the_last_point(monkeypatch, steps):
+    """The search starts from the ranges of a whole level, the one that holds
+    only the point at steps among them: on a grid of the integers up to
+    steps, where ebis(z) - z is z, the last point is the first maximum."""
+    monkeypatch.setattr("secinvest.optimize.ebis", lambda z, batch, out=None: np.multiply(z, 2.0, out=out))
+    assert grid_oracle(period(), float(steps), steps) == float(steps)
+
+
 @pytest.mark.parametrize("z_max", [0.0, 5e-324])
 def test_ranges_queued_before_the_first_scan_are_bounded_again(monkeypatch, z_max):
     """The first descent queues whole blocks of ranges while no value has been
@@ -411,6 +420,48 @@ def test_pad_covers_an_ebis_that_is_not_monotone(p, scale, steps):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("secinvest.optimize.ebis", _dipped_ebis)
         assert grid_oracle(p, z_max, steps).hex() == expected.hex()
+
+
+def _golden_section_on_arrays(p, z_max, tol):
+    """golden_section_optimum's bracket loop, with each value of ebis taken
+    from the batch kernel on a 1-element array."""
+    batch = PeriodBatch.one(p)
+
+    def value(z):
+        return float(ebis(np.array([z]), batch)[0])
+
+    a, b = 0.0, z_max
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    fc, fd = value(c) - c, value(d) - d
+    for _ in range(_GOLDEN_MAX_STEPS):
+        if b - a <= tol:
+            break
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = value(c) - c
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = value(d) - d
+    mid = 0.5 * (a + b)
+    return 0.0 if value(0.0) >= value(mid) - mid else mid
+
+
+@settings(deadline=None, max_examples=60)
+@given(p=_periods, z_max=_z_maxes, tol=st.floats(-300.0, 2.0).map(lambda x: 10.0**x))
+@example(period(), 20.0, 1e-9)
+@example(period(v=1.0, loss=1e30, beta=2.0, d=1), LARGEST, 1e-300)  # the power overflows early on
+@example(period(v=1e-310, loss=1e300, alpha=1e12), 1e-10, 1e-300)  # subnormal v
+# searches that end elsewhere if a step's power is Python's ** instead of np.power
+@example(period(v=0.11305837096076943, loss=0.6251881458762321, alpha=15.935403413508439, beta=2.0, d=1),
+         64.50109800186267, 6.062977412254436e-54)
+@example(period(v=0.6159471154181675, loss=2.620463362819536, alpha=45.526467452419745, beta=2.186336515407986, d=1),
+         4.5172631104753584e+91, 1.0454347401546828e-66)
+def test_golden_section_steps_are_rows_of_the_batch_kernel(p, z_max, tol):
+    """Each step of golden section on floats takes the value that the batch
+    kernel gives on a 1-element array, so the whole search ends on the same float."""
+    assert golden_section_optimum(p, z_max, tol).hex() == _golden_section_on_arrays(p, z_max, tol).hex()
 
 
 class TestOptimizeScenario:

@@ -171,8 +171,22 @@ def bits(values):
     return np.asarray(values, dtype=float).view(np.int64).tolist()
 
 
+def near_the_overflow_test(p, log2_power):
+    """``p`` and a z at which k*log2(alpha*z + 1) is about ``log2_power``, or
+    the largest float where that z is beyond it."""
+    tech = p.technology
+    with np.errstate(over="ignore"):
+        z = float(np.exp2(log2_power / tech.exponent) / tech.alpha)
+    return p, min(z, 1.7976931348623157e308)
+
+
 @PROPERTY
-@given(st.lists(st.tuples(regime_periods(), st.floats(0.0, 1e308) | st.floats(0.0, 10.0)), min_size=1, max_size=12))
+@given(st.lists(st.one_of(
+    st.tuples(regime_periods(), st.floats(0.0, 1e308) | st.floats(0.0, 10.0)),
+    # a one-period view enters numpy's errstate only where k*log2(alpha*z + 1) >= 1000
+    st.builds(near_the_overflow_test, regime_periods(), st.sampled_from([1000.0, 1024.0]).flatmap(
+        lambda at: st.floats(at - 40.0, at + 40.0))),
+), min_size=1, max_size=12))
 @example([
     (make_period(0.5, 100.0, 1.0, 1.0, 1), 1.0),  # k = 2, where numpy squares
     (make_period(0.5, 1.0, 1.0, 1.0, 0), 0.0),  # the corner
@@ -180,9 +194,23 @@ def bits(values):
     (make_period(5e-324, 1e308, 1.0, 1.5, 0), 3.0),  # subnormal v
     (make_period(0.5, 0.0, 2.0, 1.0, 0), 2.0),  # zero loss
 ])
+# k*log2(alpha*z + 1) just below 1000, at it, and near 1024 on either side;
+# then alpha*z itself overflows
+@example([
+    (make_period(0.5, 100.0, 1.0, 1.0, 0), 2.0**999),
+    (make_period(0.5, 100.0, 1.0, 1.0, 0), 2.0**1000),
+    (make_period(0.5, 100.0, 1.0, 1.0, 1), 2.0**499.99),  # k = 2
+    (make_period(0.5, 100.0, 1.0, 1.0, 1), 2.0**511.99),
+    (make_period(0.5, 100.0, 1.0, 1.0, 1), 2.0**512.01),
+    (make_period(0.5, 100.0, 1.0, 1.0, 0), 1.7976931348623157e308),
+    (make_period(0.5, 100.0, 2.0, 9.0, 1), 2.0**101),  # k = 10: k*log2 is 1020
+    (make_period(0.5, 100.0, 2.0, 9.0, 1), 2.0**104),
+    (make_period(1.0, 1e308, 4.0, 1.5, 1), 1e308),  # alpha*z is inf
+])
 def test_one_period_views_are_rows_of_the_batch_call(pairs):
     """Each one-period view gives, bit for bit, row i of the batch kernel
-    over the scenario of all periods, at the optimum and at any z."""
+    over the scenario of all periods, at the optimum and at any z, without
+    a warning on either side of the view's overflow test."""
     ps = [p for p, _ in pairs]
     z = np.array([z for _, z in pairs])
     batch = Scenario("x", tuple(ps)).batch
