@@ -9,6 +9,7 @@ breach-probability family).
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +36,13 @@ _GOLDEN_MAX_STEPS = 3100
 # values stay in a 4 MiB L2 cache; 32768 and 65536 ran equally fast
 _ORACLE_BLOCK = 32768
 # points of a grid_oracle leaf at most: a level's ranges go to ebis in one
-# call, so smaller leaves scan fewer points near a peak in as many calls
+# call, so smaller leaves scan fewer points near a peak in as many calls; at
+# most _ORACLE_BLOCK, or a block holds no whole leaf (head is 0) and the
+# search loops forever
 _ORACLE_LEAF = 1024
 # grid_oracle splits ranges 16 ways; smaller fans take more levels of calls
 _ORACLE_FAN = 16
+_oracle_buffers = threading.local()  # grid_oracle's block buffers, per thread
 # a row of OptimizationResult.per_period
 _OPTIMUM = np.dtype((np.record, [
     ("z_star", float), ("breach_probability_at_optimum", float), ("ebis_at_optimum", float),
@@ -66,6 +70,21 @@ def z_star(batch: PeriodBatch) -> ArrayLike:
     is carried exactly as (hi + lo) * 2**e, so it neither overflows nor loses
     the digits that decide z* near the corner.
     """
+    if not isinstance(batch.alpha, np.ndarray):
+        # a one-period view: the steps below on Python floats, but with numpy's
+        # log, log1p and expm1, where math's may differ in the last bit
+        (hi, e), lo = math.frexp(batch[0]), 0.0
+        for factor in batch[1:]:
+            m, exponent = math.frexp(factor)
+            hi, error = _two_product(hi, m)
+            lo, e = lo * m + error, e + exponent
+        scale = e if abs(e) < 1000 else 0
+        p = math.ldexp(hi, scale)
+        if 0.5 < p < 2.0 and e == scale:
+            log = float(np.log1p((p - 1.0) + math.ldexp(lo, scale)))
+        else:
+            log = float(np.log(p)) + (e - scale) * _LN2 if p else -math.inf
+        return float(np.expm1(max(log, 0.0) / (batch.k + 1.0))) / batch.alpha
     # hi in [1/16, 1), or 0 where a factor is 0: the frexp mantissas
     # multiplied in double-double, and the exponents summed as integers
     mantissas, exponents = np.frexp(batch)
@@ -175,7 +194,7 @@ def grid_oracle(period: PeriodSpec, z_max: float, steps: int) -> float:
     points and one of 2**53 steps about 330,000. The points of the leaves
     are scanned in index order, and a later block wins only with a greater
     value, so ties break toward the smallest z. Each call of ebis takes at
-    most ``_ORACLE_BLOCK`` points, in buffers allocated once per call. The
+    most ``_ORACLE_BLOCK`` points, in buffers allocated once per thread. The
     bound is loose by about a range's width in z, so near a smooth peak 1e6
     steps scan 2.6e3 to 4.1e4 points in 3 or 4 calls, 10**12 steps 7.4e6.
     """
@@ -194,9 +213,12 @@ def grid_oracle(period: PeriodSpec, z_max: float, steps: int) -> float:
     width = leaf if steps < leaf else leaf * _ORACLE_FAN
     while (steps // width + 1) * _ORACLE_FAN > _ORACLE_BLOCK:
         width *= _ORACLE_FAN
-    # A block's indices, points and values are formed in these buffers, not
-    # in fresh memory, which a call would fault in block by block
-    index, points, values = np.empty(_ORACLE_BLOCK, np.int64), np.empty(_ORACLE_BLOCK), np.empty(_ORACLE_BLOCK)
+    # A block's indices, points and values are formed in buffers that the
+    # thread keeps from its first call: buffers freed at the end of a call go
+    # back to the system where glibc trims the heap, and are faulted in again
+    if not hasattr(_oracle_buffers, "blocks"):
+        _oracle_buffers.blocks = np.empty(_ORACLE_BLOCK, np.int64), np.empty(_ORACLE_BLOCK), np.empty(_ORACLE_BLOCK)
+    index, points, values = _oracle_buffers.blocks
     offsets = np.arange(leaf)  # of a leaf's points from its start
     incumbent, best, best_z = -math.inf, -math.inf, 0.0
     # ascending range starts, their bounds and their width
@@ -255,9 +277,12 @@ def _optima(batch: PeriodBatch) -> tuple[np.recarray, ArrayLike]:
     and its net benefit ebis - z*."""
     z = z_star(batch)
     columns = z, breach(z, batch), ebis(z, batch)
-    table = np.recarray(np.size(z), _OPTIMUM)
-    for name, column in zip(_OPTIMUM.names, columns):
-        table[name] = column
+    if isinstance(z, float):  # a one-period view: a 0-d row
+        table = np.array(columns, _OPTIMUM)
+    else:
+        table = np.recarray(z.size, _OPTIMUM)
+        for name, column in zip(_OPTIMUM.names, columns):
+            table[name] = column
     table.flags.writeable = False  # per_period of a frozen result
     return table, columns[2] - z
 
@@ -265,7 +290,7 @@ def _optima(batch: PeriodBatch) -> tuple[np.recarray, ArrayLike]:
 def optimize_period(period: PeriodSpec) -> np.record:
     """Optimal investment for one period via the closed form: the row of
     ``optimize_scenario``'s ``per_period``."""
-    return _optima(PeriodBatch.one(period))[0][0]
+    return _optima(PeriodBatch.one(period))[0][()]
 
 
 def optimize_scenario(scenario: Scenario) -> OptimizationResult:

@@ -1,5 +1,7 @@
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from secinvest import (
     optimize_scenario,
     sbpf_eval,
 )
+from secinvest import optimize
 from secinvest.model import PeriodBatch, ebis
 from secinvest.optimize import _GOLDEN_MAX_STEPS, _INV_PHI, _ORACLE_BLOCK, _grid_points, _uniform_grid
 
@@ -179,16 +182,67 @@ class TestGridOracle:
             assert grid_oracle(p, z_max, 10**4) == z[np.argmax(unfused)]
 
     def test_memory_stays_within_a_few_blocks(self):
+        # on a fresh thread, whose first call allocates the oracle's block
+        # buffers inside the traced window
         tracemalloc.start()
         try:
-            grid_oracle(period(), 10.0, 10**6)
+            with ThreadPoolExecutor(1) as pool:
+                pool.submit(grid_oracle, period(), 10.0, 10**6).result(timeout=60)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # the grid alone would take 8 MB, and its values 8 MB more; the
         # buffers of a block's indices, points and values, and the offsets
         # of a leaf's points, take 1 MB
-        assert peak < 1.3e6
+        assert 3 * 8 * _ORACLE_BLOCK < peak < 1.3e6
+
+    def test_threads_give_the_serial_results(self):
+        rng = np.random.default_rng(24)
+        cases = []
+        for _ in range(32):
+            p = random_period(rng)
+            cases.append((p, p.vulnerability * p.loss + 1.0, int(rng.integers(10**5, 10**6, endpoint=True))))
+        serial = [grid_oracle(*case).hex() for case in cases]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads take turns often
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(grid_oracle, *case) for case in cases]
+                assert [f.result(timeout=60).hex() for f in futures] == serial
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_each_thread_reuses_buffers_of_its_own(self, monkeypatch):
+        # the arrays whose slices each call hands to ebis as out, kept alive
+        # so that a freed buffer cannot come back under the same identity
+        bases = []
+
+        def spy(z, batch, out=None):
+            bases.append(out.base)
+            return ebis(z, batch, out)
+
+        monkeypatch.setattr("secinvest.optimize.ebis", spy)
+
+        def two_calls():
+            first = grid_oracle(period(), 10.0, 10**6)
+            calls = len(bases)
+            assert grid_oracle(period(), 10.0, 10**6) == first
+            return bases[:calls], bases[calls:]
+
+        first, second = two_calls()
+        assert all(b is first[0] for b in first + second)
+        with ThreadPoolExecutor(1) as pool:
+            bases.clear()
+            other, again = pool.submit(two_calls).result(timeout=60)
+        assert all(b is other[0] for b in other + again)
+        assert not np.shares_memory(other[0], first[0])
+
+
+def test_leaves_fit_in_a_block():
+    # a leaf larger than a block makes head, the ranges of one call, 0, and
+    # grid_oracle's search loops forever (grid_oracle(p, 51.0, 10**6) hangs
+    # with leaves of 65536)
+    assert optimize._ORACLE_LEAF <= optimize._ORACLE_BLOCK
 
 
 _B = _ORACLE_BLOCK

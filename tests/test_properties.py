@@ -207,6 +207,29 @@ def near_the_overflow_test(p, log2_power):
     (make_period(0.5, 100.0, 2.0, 9.0, 1), 2.0**104),
     (make_period(1.0, 1e308, 4.0, 1.5, 1), 1e308),  # alpha*z is inf
 ])
+# the steps of z_star's float branch for a view: exponent sums of 2024, 1992
+# and -1990, beyond ±1000, where the product's log is log(hi) + e*ln 2 even
+# where hi lies in (0.5, 1); zero factors, -0.0 among them, where hi and p
+# are 0 or -0.0 and the log is -inf; products in (0.5, 2) where log1p sees
+# lo, and exactly 1, where the log is +0.0 (never -0.0, on which max and
+# np.fmax could differ); subnormal factors
+@example([
+    (make_period(1.0, 1e308, 1e300, 1.0, 1), 1.0),
+    (make_period(0.84, 1e295, 1e304, 3.39, 0), 1.0),
+    (make_period(1e-300, 1e-300, 1.0, 1.0, 0), 1.0),
+    (make_period(0.0, 20.0, 1.0, 1.0, 0), 1.0),
+    (make_period(-0.0, 20.0, 1.0, 1.0, 0), 1.0),
+    (make_period(0.5, -0.0, 1.0, 1.0, 0), 1.0),
+    (make_period(0.79, 0.7297490976652409, 0.49, 3.54, 0), 1.0),  # lo moves z* by 2%
+    (make_period(0.13, 2.5176436466784224, 2.387, 1.28, 0), 1.0),  # a negative lo
+    (make_period(0.5, 2.0000000000000004, 1.0, 1.0, 0), 1.0),  # 1 + 2**-52
+    (make_period(0.85, 0.4544397235995441, 0.98, 3.4, 0), 1.0),  # math.log1p is an ulp off
+    (make_period(0.5, 2.0, 1.0, 1.0, 0), 1.0),
+    (make_period(0.75, 2.0, 1.0, 1.0, 0), 1.0),  # 1.5
+    (make_period(5e-324, 5e-324, 1e300, 1.0, 0), 1.0),
+    (make_period(1e-310, 1e308, 1e10, 2.0, 1), 1.0),
+    (make_period(1.0, 5e-324, 1e308, 1e300, 0), 1.0),
+])
 def test_one_period_views_are_rows_of_the_batch_call(pairs):
     """Each one-period view gives, bit for bit, row i of the batch kernel
     over the scenario of all periods, at the optimum and at any z, without
