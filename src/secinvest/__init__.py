@@ -3,16 +3,15 @@ for a disruptive-technology discontinuity and scenario comparison."""
 
 import importlib
 
-# the library modules load with the package (these two pull in errors, model and
-# optimize): loading them on first use instead raised cold calls' peak RSS 0.2-0.4 MB
-from . import analysis, scenario_io  # noqa: F401
-
+# Nothing loads with the package. Cold calls' peak RSS (bench/run.py medians, MB) went cli-small
+# 30.11 -> 30.23, portfolio 33.82 -> 33.72, curves 33.77 -> 33.97, verify 37.75 -> 38.01: where
+# the heap's blocks fall when modules load later, not data held (measured in CHANGES.md)
 __version__ = "0.1.0"
 
 # each public name, in the order of __all__, and the module that defines it
 _HOME = {
     "ContractError": "errors",
-    "DEFAULT_DISRUPTION_THRESHOLD": "analysis",
+    "DEFAULT_DISRUPTION_THRESHOLD": "model",
     "DeltaZReport": "analysis",
     "DomainError": "errors",
     "InvestmentPlan": "model",
@@ -32,8 +31,8 @@ _HOME = {
     "emit_curve_csv": "scenario_io",
     "emit_mix_csv": "scenario_io",
     "enbis_eval": "model",
-    "golden_section_optimum": "optimize",
-    "grid_oracle": "optimize",
+    "golden_section_optimum": "check",
+    "grid_oracle": "check",
     "optimize_period": "optimize",
     "optimize_scenario": "optimize",
     "parse_scenario": "scenario_io",

@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ContractError, DomainError, NumericError
 from .model import (
+    DEFAULT_DISRUPTION_THRESHOLD,
     MAX_GRID,
     InvestmentPlan,
     PeriodBatch,
@@ -18,6 +18,7 @@ from .model import (
     Scenario,
     TechnologyProfile,
     _check,
+    _Frozen,
     _first_fault,
     _numbers,
     breach,
@@ -25,7 +26,6 @@ from .model import (
 )
 from .optimize import z_star
 
-DEFAULT_DISRUPTION_THRESHOLD = 0.10
 SHIFT_TOLERANCE = 1e-9
 # one row of optimum_shift_sweep; shift_direction is left, right or none
 _SWEEP_DTYPE = np.dtype([
@@ -34,16 +34,14 @@ _SWEEP_DTYPE = np.dtype([
 ])
 
 
-@dataclass(frozen=True)
-class DeltaZReport:
+class DeltaZReport(_Frozen):
     """Outcome of comparing two equal-duration scenarios at given plans."""
 
-    delta_z: float
-    enbis_a: float
-    enbis_b: float
-    period_count: int
-    classified_disruptive: bool
-    threshold_used: float
+    _fields = "delta_z", "enbis_a", "enbis_b", "period_count", "classified_disruptive", "threshold_used"
+
+    def __init__(self, delta_z: float, enbis_a: float, enbis_b: float, period_count: int,
+                 classified_disruptive: bool, threshold_used: float) -> None:
+        self._set(delta_z, enbis_a, enbis_b, period_count, classified_disruptive, threshold_used)
 
 
 def delta_z(
@@ -72,14 +70,7 @@ def delta_z(
             f"{scenario_b.label!r} overflows a float"
         )
     disruptive = classify_disruptive(enbis_a, enbis_b, threshold)
-    return DeltaZReport(
-        delta_z=difference,
-        enbis_a=enbis_a,
-        enbis_b=enbis_b,
-        period_count=scenario_a.horizon,
-        classified_disruptive=disruptive,
-        threshold_used=threshold,
-    )
+    return DeltaZReport(difference, enbis_a, enbis_b, scenario_a.horizon, disruptive, threshold)
 
 
 def classify_disruptive(enbis_a: float, enbis_b: float, threshold: float) -> bool:
@@ -123,7 +114,8 @@ def dominance_check(
     every valid alpha, as S_d/S_0 = 1/(alpha*z + 1) < 1 at every z > 0.
     """
     base_t = period_baseline.technology
-    twin = replace(period_baseline, technology=replace(base_t, disruptive=1))
+    twin = PeriodSpec(period_baseline.vulnerability, period_baseline.loss,
+                      TechnologyProfile(base_t.alpha, base_t.beta, 1))
     if base_t.disruptive != 0 or period_disrupted != twin:
         raise ContractError(
             "periods must differ only in the disruption flag (baseline 0, disrupted 1)"

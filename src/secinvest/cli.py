@@ -5,7 +5,8 @@ its result (and writes its SVG), then returns the arguments of ``table_text``;
 ``run_cli`` alone writes that text, so an error writes nothing to stdout. Data
 goes to stdout, diagnostics to stderr. Exit 0 on success, 1 on domain/contract
 errors, a stdout that cannot take the output (a full disk) or one that its
-reader closed (with nothing on stderr), 2 on usage errors.
+reader closed (with nothing on stderr), 2 on usage errors. Handlers import
+what they run, so a call loads only its subcommand's code.
 """
 
 from __future__ import annotations
@@ -18,22 +19,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .analysis import DEFAULT_DISRUPTION_THRESHOLD, delta_z, optimum_shift_sweep
 from .errors import DomainError, ModelError
-from .model import InvestmentPlan, PeriodSpec, Scenario, TechnologyProfile
-from .optimize import optimize_scenario
-from .scenario_io import (
-    _curve_table,
-    _mix_table,
-    _z_grid,
-    fmt,
-    parse_scenario,
-    render_curve_svg,
-    table_text,
-)
+from .model import DEFAULT_DISRUPTION_THRESHOLD, InvestmentPlan, PeriodSpec, Scenario, TechnologyProfile
 
 
 def _load_scenario(path: str) -> Scenario:
+    from .scenario_io import parse_scenario
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -42,6 +33,7 @@ def _load_scenario(path: str) -> Scenario:
 
 
 def _write_svg(path: str, z, *columns) -> None:
+    from .scenario_io import render_curve_svg
     svg = render_curve_svg(z, columns)
     try:
         Path(path).write_text(svg)
@@ -58,24 +50,17 @@ def _parse_values(raw: str, flag: str) -> tuple[float, ...]:
 
 def _plan_from_flag(raw: str | None, flag: str, scenario: Scenario) -> InvestmentPlan:
     """Comma-separated amounts, or all zeros when the flag is absent."""
-    if raw is None:
-        return InvestmentPlan((0.0,) * scenario.horizon)
-    return InvestmentPlan(_parse_values(raw, flag))
+    return InvestmentPlan((0.0,) * scenario.horizon if raw is None else _parse_values(raw, flag))
 
 
 def _period_from_args(args, alpha=None, beta=None, disruptive=0) -> PeriodSpec:
-    return PeriodSpec(
-        vulnerability=args.vulnerability,
-        loss=args.loss,
-        technology=TechnologyProfile(
-            alpha if alpha is not None else args.alpha,
-            beta if beta is not None else args.beta,
-            disruptive,
-        ),
-    )
+    alpha, beta = args.alpha if alpha is None else alpha, args.beta if beta is None else beta
+    return PeriodSpec(args.vulnerability, args.loss, TechnologyProfile(alpha, beta, disruptive))
 
 
 def _cmd_optimize(args) -> tuple:
+    from .optimize import optimize_scenario
+    from .scenario_io import fmt
     scenario = _load_scenario(args.scenario)
     result = optimize_scenario(scenario)
     table = result.per_period
@@ -93,6 +78,7 @@ def _grid_args(args) -> tuple:  # --z-max is v*L by default
 
 
 def _cmd_curve(args) -> tuple:
+    from .scenario_io import _curve_table
     table = _curve_table(_period_from_args(args), *_grid_args(args), args.include_disrupted)
     if args.svg is not None:
         _write_svg(args.svg, *table[2])  # the grid, then the curves
@@ -100,6 +86,7 @@ def _cmd_curve(args) -> tuple:
 
 
 def _cmd_mix_curve(args) -> tuple:
+    from .scenario_io import _mix_table, _z_grid
     period_pre = _period_from_args(args)
     period_post = _period_from_args(args, args.alpha_post, args.beta_post, 1)
     table = _mix_table(period_pre, period_post, args.switch_index, _z_grid(*_grid_args(args)))
@@ -109,14 +96,13 @@ def _cmd_mix_curve(args) -> tuple:
 
 
 def _cmd_delta_z(args) -> tuple:
+    from .analysis import delta_z
+    from .optimize import optimize_scenario
     scenario_a = _load_scenario(args.scenario_a)
     scenario_b = _load_scenario(args.scenario_b)
     # the vulnerability and loss columns, compared as the file gave them
     if args.strict and scenario_a.columns[:2] != scenario_b.columns[:2]:
-        raise DomainError(
-            "strict mode: vulnerability/loss sequences of the two "
-            "scenarios must be identical"
-        )
+        raise DomainError("strict mode: vulnerability/loss sequences of the two scenarios must be identical")
     if args.optimize:
         plan_a = optimize_scenario(scenario_a).plan
         plan_b = optimize_scenario(scenario_b).plan
@@ -132,6 +118,7 @@ def _cmd_delta_z(args) -> tuple:
 
 
 def _cmd_sweep(args) -> tuple:
+    from .analysis import optimum_shift_sweep
     table = optimum_shift_sweep(
         _parse_values(args.alpha, "--alpha"),
         _parse_values(args.beta, "--beta"),
@@ -209,6 +196,7 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
     except ModelError as exc:
         message = exc
     else:
+        from .scenario_io import table_text
         try:
             sys.stdout.writelines(table_text(*table))
             sys.stdout.flush()

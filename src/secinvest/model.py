@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 from numbers import Integral, Real
 from typing import Iterable, NamedTuple, Sequence, Union
@@ -18,6 +17,9 @@ import numpy as np
 from .errors import ContractError, DomainError, NumericError
 
 ArrayLike = Union[float, np.ndarray]
+
+# delta_z's default threshold; here, so that the CLI's parser needs no analysis
+DEFAULT_DISRUPTION_THRESHOLD = 0.10
 
 # largest curve grid (in steps) and sweep grid (in tuples); 10**6 rows
 # already print tens of MB of CSV
@@ -92,8 +94,40 @@ def first_invalid(columns: Sequence[Sequence]) -> int:
     return min(*faults, next((i for i, d in enumerate(dummies) if not _is_dummy(d)), len(dummies)))
 
 
-@dataclass(frozen=True)
-class TechnologyProfile:
+class _Frozen:
+    """Base of the value types: ``__init__`` sets the fields of ``_fields`` once;
+    ==, hash, repr and the refused assignment are a frozen dataclass's."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, *values) -> None:
+        self.__dict__.update(zip(self._fields, values))
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class TechnologyProfile(_Frozen):
     """Productivity parameters of one cyber-security technology.
 
     ``alpha`` and ``beta`` make the breach probability fall faster in the
@@ -101,9 +135,10 @@ class TechnologyProfile:
     by one when a disruptive technology is in force.
     """
 
-    alpha: float
-    beta: float
-    disruptive: int = 0
+    _fields = "alpha", "beta", "disruptive"
+
+    def __init__(self, alpha: float, beta: float, disruptive: int = 0) -> None:
+        self._set(alpha, beta, disruptive)
 
     def __post_init__(self) -> None:
         _check("alpha", self.alpha)
@@ -117,21 +152,20 @@ class TechnologyProfile:
         return self.beta + self.disruptive
 
 
-@dataclass(frozen=True)
-class PeriodSpec:
+class PeriodSpec(_Frozen):
     """One period: vulnerability, potential loss, and the technology in force."""
 
-    vulnerability: float
-    loss: float
-    technology: TechnologyProfile
+    _fields = "vulnerability", "loss", "technology"
+
+    def __init__(self, vulnerability: float, loss: float, technology: TechnologyProfile) -> None:
+        self._set(vulnerability, loss, technology)
 
     def __post_init__(self) -> None:
         _check("vulnerability", self.vulnerability)
         _check("loss", self.loss)
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(_Frozen):
     """An ordered, nonempty sequence of periods; the unit of optimization.
 
     It is held only as ``columns``, one tuple of values per field of
@@ -139,8 +173,7 @@ class Scenario:
     its ``periods`` are views built from them when first read.
     """
 
-    label: str
-    columns: tuple[tuple, ...]
+    _fields = "label", "columns"
 
     def __init__(self, label: str, periods: Iterable[PeriodSpec]) -> None:
         rows = [(p.vulnerability, p.loss, p.technology.alpha, p.technology.beta, p.technology.disruptive)
@@ -170,18 +203,20 @@ class Scenario:
         return len(self.columns[0])
 
 
-@dataclass(frozen=True)
-class InvestmentPlan:
+class InvestmentPlan(_Frozen):
     """One nonnegative investment amount per period of a scenario."""
 
-    amounts: tuple[float, ...]
+    _fields = ("amounts",)
+
+    def __init__(self, amounts: tuple[float, ...]) -> None:
+        self._set(amounts)
 
     def __post_init__(self) -> None:
         amounts = tuple(self.amounts)
         i = _first_fault(amounts, "loss")  # nonnegative, as a loss is
         if i < len(amounts):
             _check(f"amounts[{i}]", amounts[i], "loss")
-        object.__setattr__(self, "amounts", tuple(map(float, amounts)))
+        self.__dict__["amounts"] = tuple(map(float, amounts))
 
     @property
     def total(self) -> float:

@@ -9,9 +9,7 @@ files stay byte-stable.
 
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import replace
 from itertools import chain
 from operator import itemgetter
 from typing import Iterator, Sequence
@@ -141,6 +139,7 @@ def parse_scenario(document: str) -> Scenario:
     domain types' rules check each column as a whole; the first faulty entry
     is then rebuilt through the types, so its error is theirs, addressed to
     the offending field."""
+    import json  # here: of the subcommands, only those that read a file use it
     try:
         data = json.loads(document)
     except json.JSONDecodeError as exc:
@@ -215,7 +214,8 @@ def _curve_table(period: PeriodSpec, z_min: float, z_max: float, steps: int, inc
     grid = _z_grid(z_min, z_max, steps)
     periods = [period]
     if include_disrupted:
-        periods.append(replace(period, technology=replace(period.technology, disruptive=1)))
+        v, loss, tech = period.vulnerability, period.loss, period.technology
+        periods.append(PeriodSpec(v, loss, TechnologyProfile(tech.alpha, tech.beta, 1)))
     curves = [ebis_eval(grid, p) for p in periods]
     columns = [grid, *(column for ebis in curves for column in (ebis, ebis - grid))]
     names = "0d"[: len(periods)]

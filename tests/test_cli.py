@@ -497,13 +497,52 @@ def test_package_import_does_not_load_the_cli():
     code = (
         "import sys, secinvest; "
         "loaded = {m for m in sys.modules if m.split('.')[0] == 'secinvest'}; "
-        "assert loaded == {'secinvest', 'secinvest.analysis', 'secinvest.errors', "
-        "'secinvest.model', 'secinvest.optimize', 'secinvest.scenario_io'}, loaded; "
+        "assert loaded == {'secinvest'}, loaded; "
         "from secinvest import run_cli; assert 'secinvest.cli' in sys.modules; "
         "assert len(secinvest.__all__) == 31"
     )
     result = _run_python("-c", code)
     assert result.returncode == 0, result.stderr
+
+
+GOLDENS = Path(__file__).parent / "goldens"
+# each subcommand on golden inputs: its argv, its golden (optimize has none) and
+# the modules that it must not load, beyond the dataclasses and cross-checks that no call loads
+COLD_CALLS = {
+    "curve": (["curve", "--vulnerability", "0.5", "--loss", "100", "--alpha", "1", "--beta", "1",
+               "--z-min", "0", "--z-max", "2", "--steps", "2", "--include-disrupted"],
+              "curve.csv", {"secinvest.analysis", "json"}),
+    "mix-curve": (["mix-curve", "--vulnerability", "0.5", "--loss", "100", "--alpha", "1", "--beta", "1",
+                   "--switch-index", "2", "--z-min", "0", "--z-max", "2", "--steps", "4"],
+                  "mix_curve.csv", {"secinvest.analysis", "json"}),
+    "optimize": (["optimize", str(GOLDENS / "scenario_a.json")], None, {"secinvest.analysis"}),
+    "delta-z": (["delta-z", str(GOLDENS / "scenario_a.json"), str(GOLDENS / "scenario_b.json"),
+                 "--plan-a", "1", "--plan-b", "1"], "delta_z.txt", set()),
+    "sweep": (["sweep", "--alpha", "1", "--beta", "1", "--vulnerability", "0.5", "--loss", "4,20"],
+              "sweep.csv", {"json"}),
+}
+
+
+def _imported(stderr: str) -> set[str]:
+    """The modules that ``python -X importtime`` reports as imported."""
+    return {line.rsplit("|", 1)[1].strip() for line in stderr.splitlines() if line.startswith("import time:")}
+
+
+@pytest.mark.parametrize("command", COLD_CALLS)
+def test_a_cold_call_loads_only_what_its_subcommand_runs(command):
+    argv, golden, unused = COLD_CALLS[command]
+    result = _run_python("-X", "importtime", "-m", "secinvest.cli", *argv)
+    assert result.returncode == 0, result.stderr[-500:]
+    assert golden is None or result.stdout == (GOLDENS / golden).read_text()
+    imported = _imported(result.stderr)
+    assert {"secinvest.model", "numpy"} <= imported  # the report lists what the call ran
+    assert not imported & {"dataclasses", "secinvest.check", *unused}
+
+
+def test_a_bare_import_loads_only_the_package():
+    result = _run_python("-X", "importtime", "-c", "import secinvest")
+    assert result.returncode == 0, result.stderr[-500:]
+    assert {m for m in _imported(result.stderr) if m.split(".")[0] == "secinvest"} == {"secinvest"}
 
 
 # 17 * 2 * 121 = 4114 tuples, more than one block of rows; "-0" must print 0.000000

@@ -1,15 +1,21 @@
+import dataclasses
+import functools
 import math
 from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secinvest import (
     ContractError,
+    DeltaZReport,
     DomainError,
     InvestmentPlan,
     NumericError,
+    OptimizationResult,
     PeriodSpec,
     Scenario,
     TechnologyProfile,
@@ -21,6 +27,7 @@ from secinvest import (
     enbis_eval,
     golden_section_optimum,
     grid_oracle,
+    optimize_scenario,
     sbpf_eval,
 )
 
@@ -358,3 +365,73 @@ class TestLibraryArguments:
         assert emit_curve_csv(p, 0.0, 1.0, np.int64(4)) == emit_curve_csv(p, 0.0, 1.0, 4)
         mix = ebis_mix_curve(p, period(tech=T1), np.int64(1), [0.0, 1.0])
         assert mix.tolist() == ebis_mix_curve(p, period(tech=T1), 1, [0.0, 1.0]).tolist()
+
+
+# Instances of each value type, drawn from small pools so that equal pairs are common.
+techs = st.builds(TechnologyProfile, *map(st.sampled_from, ([0.5, 2.0], [1, 3.5], [0, 1])))
+periods = st.builds(PeriodSpec, st.sampled_from([0.0, 0.5]), st.sampled_from([1.0, 1e6]), techs)
+scenarios = st.builds(Scenario, st.sampled_from(["a", "b"]), st.lists(periods, min_size=1, max_size=2))
+VALUES = {
+    TechnologyProfile: techs,
+    PeriodSpec: periods,
+    Scenario: scenarios,
+    InvestmentPlan: st.builds(InvestmentPlan, st.lists(st.sampled_from([0, 1.5, 2.0]), min_size=1, max_size=2)),
+    DeltaZReport: st.builds(DeltaZReport, *[st.sampled_from([-0.0, 0.0, 1.5])] * 3, st.sampled_from([1, 2]),
+                            st.booleans(), st.sampled_from([0.1, 0.2])),
+    # per_period is a record array: unhashable, and == on two of them is elementwise
+    OptimizationResult: scenarios.map(optimize_scenario),
+}
+
+
+@functools.cache
+def _reference(cls):
+    return dataclasses.make_dataclass(cls.__name__, cls._fields, frozen=True)
+
+
+@functools.cache
+def _subclass(cls):
+    return type(cls.__name__, (cls,), {})
+
+
+def outcome(call):
+    """What ``call()`` returns, or the type and text of what it raises."""
+    try:
+        return call()
+    except Exception as exc:  # compared with the reference's outcome
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("cls", VALUES, ids=lambda cls: cls.__name__)
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_value_types_behave_as_frozen_dataclasses(cls, data):
+    """Each value type against a frozen dataclass of its name and fields that
+    holds the same values: ==, !=, hash, repr and refused assignment agree."""
+    names = cls._fields
+    reference = _reference(cls)
+    a, b = data.draw(VALUES[cls]), data.draw(VALUES[cls])
+    ref_a, ref_b = (reference(**{f: getattr(x, f) for f in names}) for x in (a, b))
+    assert repr(a) == repr(ref_a)
+    assert outcome(lambda: a == b) == outcome(lambda: ref_a == ref_b)
+    assert outcome(lambda: a != b) == outcome(lambda: ref_a != ref_b)
+    assert outcome(lambda: hash(a)) == outcome(lambda: hash(ref_a))
+    assert a != ref_a and ref_a != a
+    # an instance of a subclass, with the same values, is not equal
+    twin = object.__new__(_subclass(cls))
+    twin.__dict__.update(a.__dict__)
+    ref_twin = _subclass(reference)(**{f: getattr(a, f) for f in names})
+    assert outcome(lambda: a == twin) == outcome(lambda: ref_a == ref_twin)
+    for name in (*names, "other"):
+        before = getattr(a, name, None)
+        for change in (lambda x: setattr(x, name, 1), lambda x: delattr(x, name)):
+            with pytest.raises(AttributeError) as ours:
+                change(a)
+            with pytest.raises(dataclasses.FrozenInstanceError) as theirs:
+                change(ref_a)
+            assert str(ours.value) == str(theirs.value)
+            assert getattr(a, name, None) is before
+
+
+def test_the_default_dummy_is_a_dataclass_default():
+    assert TechnologyProfile(1.5, 2.0) == TechnologyProfile(1.5, 2.0, 0)
+    assert repr(TechnologyProfile(alpha=1.5, beta=2.0)) == "TechnologyProfile(alpha=1.5, beta=2.0, disruptive=0)"

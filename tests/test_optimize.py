@@ -22,9 +22,10 @@ from secinvest import (
     optimize_scenario,
     sbpf_eval,
 )
-from secinvest import optimize
+from secinvest import check
+from secinvest.check import _GOLDEN_MAX_STEPS, _INV_PHI, _ORACLE_BLOCK, _grid_points
 from secinvest.model import PeriodBatch, ebis
-from secinvest.optimize import _GOLDEN_MAX_STEPS, _INV_PHI, _ORACLE_BLOCK, _grid_points, _uniform_grid
+from secinvest.optimize import _uniform_grid
 
 LARGEST = 1.7976931348623157e308
 
@@ -221,7 +222,7 @@ class TestGridOracle:
             bases.append(out.base)
             return ebis(z, batch, out)
 
-        monkeypatch.setattr("secinvest.optimize.ebis", spy)
+        monkeypatch.setattr("secinvest.check.ebis", spy)
 
         def two_calls():
             first = grid_oracle(period(), 10.0, 10**6)
@@ -242,7 +243,7 @@ def test_leaves_fit_in_a_block():
     # a leaf larger than a block makes head, the ranges of one call, 0, and
     # grid_oracle's search loops forever (grid_oracle(p, 51.0, 10**6) hangs
     # with leaves of 65536)
-    assert optimize._ORACLE_LEAF <= optimize._ORACLE_BLOCK
+    assert check._ORACLE_LEAF <= check._ORACLE_BLOCK
 
 
 _B = _ORACLE_BLOCK
@@ -275,8 +276,8 @@ def test_blocks_are_the_uniform_grid(monkeypatch, z_max, steps):
         next(call for call in reversed(calls) if call[3] is z)[2] = values.copy()
         return values
 
-    monkeypatch.setattr("secinvest.optimize._grid_points", recording_points)
-    monkeypatch.setattr("secinvest.optimize.ebis", recording_ebis)
+    monkeypatch.setattr("secinvest.check._grid_points", recording_points)
+    monkeypatch.setattr("secinvest.check.ebis", recording_ebis)
     grid_oracle(period(), z_max, steps)
     grid = _uniform_grid(0.0, z_max, steps)
     best = max(float((values - z).max()) for _, z, values, _ in calls if values is not None)
@@ -310,7 +311,7 @@ def test_huge_grid_in_bounded_work(monkeypatch, steps, points, memory):
         sizes.append(z.size)
         return ebis(z, batch, out)
 
-    monkeypatch.setattr("secinvest.optimize.ebis", counting_ebis)
+    monkeypatch.setattr("secinvest.check.ebis", counting_ebis)
     p, z_max = period(), 10.0
     tracemalloc.start()
     try:
@@ -343,7 +344,7 @@ def count_ebis(monkeypatch, budget):
             raise RuntimeError(f"more than {budget} points of ebis")
         return ebis(z, batch, out)
 
-    monkeypatch.setattr("secinvest.optimize.ebis", counting_ebis)
+    monkeypatch.setattr("secinvest.check.ebis", counting_ebis)
 
 
 @pytest.mark.parametrize("steps", [10**6, 2**20])
@@ -368,7 +369,7 @@ def test_the_first_level_reaches_the_last_point(monkeypatch, steps):
     """The search starts from the ranges of a whole level, the one that holds
     only the point at steps among them: on a grid of the integers up to
     steps, where ebis(z) - z is z, the last point is the first maximum."""
-    monkeypatch.setattr("secinvest.optimize.ebis", lambda z, batch, out=None: np.multiply(z, 2.0, out=out))
+    monkeypatch.setattr("secinvest.check.ebis", lambda z, batch, out=None: np.multiply(z, 2.0, out=out))
     assert grid_oracle(period(), float(steps), steps) == float(steps)
 
 
@@ -442,7 +443,7 @@ def test_leaf_size_does_not_change_the_result(p, z_max, steps):
     results = set()
     for leaf in (32, 1024, 32768):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr("secinvest.optimize._ORACLE_LEAF", leaf)
+            patch.setattr("secinvest.check._ORACLE_LEAF", leaf)
             results.add(grid_oracle(p, z_max, steps).hex())
     assert len(results) == 1
 
@@ -472,7 +473,7 @@ def test_pad_covers_an_ebis_that_is_not_monotone(p, scale, steps):
     values -= z
     expected = float(z[int(np.argmax(values))])
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("secinvest.optimize.ebis", _dipped_ebis)
+        patch.setattr("secinvest.check.ebis", _dipped_ebis)
         assert grid_oracle(p, z_max, steps).hex() == expected.hex()
 
 

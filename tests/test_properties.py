@@ -19,7 +19,6 @@ import io
 import itertools
 import json
 import math
-from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -353,6 +352,33 @@ def test_sweep_direction_is_the_shift_rule(tuples):
         slack = z_star_error_bound(alpha, beta, v, loss) + z_star_error_bound(alpha, beta + 1.0, v, loss)
         if abs(zd - z0) > max(SHIFT_TOLERANCE, slack):
             assert row.shift_direction == ("none", "right", "left")[shift_rule(alpha, beta, v, loss)]
+
+
+def exact_shift(alpha, beta, v, loss):
+    """z*_d - z*_0 and the larger of the two, from the closed form
+    ((alpha*k*v*L)**(1/(k+1)) - 1)/alpha (0 at the corner) in 60-digit
+    arithmetic, at the sweep's exponents beta and the float beta + 1.0. The
+    power less 1 is taken as expm1(log(P)/(k+1)), which keeps its 60 digits
+    where a huge k puts the power within 1e-60 of 1."""
+    with mpmath.workdps(60):
+        a = mpmath.mpf(alpha)
+
+        def optimum(k):
+            p = a * k * mpmath.mpf(v) * mpmath.mpf(loss)
+            return mpmath.expm1(mpmath.log(p) / (k + 1)) / a if p > 1 else mpmath.mpf(0)
+
+        z0, zd = optimum(mpmath.mpf(beta)), optimum(mpmath.mpf(beta + 1.0))
+        return zd - z0, max(z0, zd)
+
+
+@settings(deadline=None, max_examples=200)
+@given(shift_tuples)
+def test_shift_rule_is_the_sign_of_the_exact_shift(t):
+    """The rule's sign is that of z*_d - z*_0 wherever the 60-digit difference
+    exceeds its rounding; draws near the threshold differ by about 1e-16 of z*."""
+    shift, scale = exact_shift(*t)
+    if scale == 0 or abs(shift) > scale * mpmath.mpf(10) ** -45:
+        assert shift_rule(*t) == mpmath.sign(shift)
 
 
 def sweep_axis(field, valid):
@@ -843,8 +869,8 @@ def test_delta_z_lines_are_the_report_fields(scenario_dir, rows, mode, threshold
     periods_a = [a for a, _, _, _ in rows]
     # "twin": B is A with each loss one ulp up, at the same plan, so delta_z is a tiny
     # negative (or zero) that prints as -0.000000
-    periods_b = ([replace(a, loss=math.nextafter(a.loss, math.inf)) for a in periods_a] if mode == "twin"
-                 else [b for _, b, _, _ in rows])
+    periods_b = ([PeriodSpec(a.vulnerability, math.nextafter(a.loss, math.inf), a.technology)
+                  for a in periods_a] if mode == "twin" else [b for _, b, _, _ in rows])
     plan_a = InvestmentPlan(tuple(z for _, _, z, _ in rows))
     plan_b = plan_a if mode == "twin" else InvestmentPlan(tuple(z for _, _, _, z in rows))
     if mode == "optimize":
