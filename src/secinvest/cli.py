@@ -6,7 +6,8 @@ its result (and writes its SVG), then returns the arguments of ``table_text``;
 goes to stdout, diagnostics to stderr. Exit 0 on success, 1 on domain/contract
 errors, a stdout that cannot take the output (a full disk) or one that its
 reader closed (with nothing on stderr), 2 on usage errors. Handlers import
-what they run, so a call loads only its subcommand's code.
+what they run, so a call loads only its subcommand's code, and a usage error
+or ``--help`` loads neither ``model`` nor numpy.
 """
 
 from __future__ import annotations
@@ -15,12 +16,12 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import DomainError, ModelError
-from .model import DEFAULT_DISRUPTION_THRESHOLD, InvestmentPlan, PeriodSpec, Scenario, TechnologyProfile
+
+if TYPE_CHECKING:  # for the annotations alone: a usage error or --help loads no model
+    from .model import InvestmentPlan, PeriodSpec, Scenario
 
 
 def _load_scenario(path: str) -> Scenario:
@@ -50,15 +51,18 @@ def _parse_values(raw: str, flag: str) -> tuple[float, ...]:
 
 def _plan_from_flag(raw: str | None, flag: str, scenario: Scenario) -> InvestmentPlan:
     """Comma-separated amounts, or all zeros when the flag is absent."""
+    from .model import InvestmentPlan
     return InvestmentPlan((0.0,) * scenario.horizon if raw is None else _parse_values(raw, flag))
 
 
 def _period_from_args(args, alpha=None, beta=None, disruptive=0) -> PeriodSpec:
+    from .model import PeriodSpec, TechnologyProfile
     alpha, beta = args.alpha if alpha is None else alpha, args.beta if beta is None else beta
     return PeriodSpec(args.vulnerability, args.loss, TechnologyProfile(alpha, beta, disruptive))
 
 
 def _cmd_optimize(args) -> tuple:
+    import numpy as np
     from .optimize import optimize_scenario
     from .scenario_io import fmt
     scenario = _load_scenario(args.scenario)
@@ -109,7 +113,8 @@ def _cmd_delta_z(args) -> tuple:
     else:
         plan_a = _plan_from_flag(args.plan_a, "--plan-a", scenario_a)
         plan_b = _plan_from_flag(args.plan_b, "--plan-b", scenario_b)
-    report = delta_z(scenario_a, plan_a, scenario_b, plan_b, args.threshold)
+    threshold = () if args.threshold is None else (args.threshold,)  # else delta_z's default
+    report = delta_z(scenario_a, plan_a, scenario_b, plan_b, *threshold)
     flag = "true" if report.classified_disruptive else "false"
     row = ("delta_z=%.6f\nenbis_a=%.6f\nenbis_b=%.6f\n"
            "period_count=%d\nclassified_disruptive=%s\nthreshold=%.6f")
@@ -168,9 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario_b")
     p.add_argument("--optimize", action="store_true")
     p.add_argument("--strict", action="store_true")
-    p.add_argument(
-        "--threshold", type=float, default=DEFAULT_DISRUPTION_THRESHOLD
-    )
+    p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--plan-a", default=None, help="comma-separated amounts")
     p.add_argument("--plan-b", default=None, help="comma-separated amounts")
     p.set_defaults(func=_cmd_delta_z)

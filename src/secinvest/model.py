@@ -18,7 +18,7 @@ from .errors import ContractError, DomainError, NumericError
 
 ArrayLike = Union[float, np.ndarray]
 
-# delta_z's default threshold; here, so that the CLI's parser needs no analysis
+# delta_z's default threshold
 DEFAULT_DISRUPTION_THRESHOLD = 0.10
 
 # largest curve grid (in steps) and sweep grid (in tuples); 10**6 rows
@@ -95,17 +95,14 @@ def first_invalid(columns: Sequence[Sequence]) -> int:
 
 
 class _Frozen:
-    """Base of the value types: ``__init__`` sets the fields of ``_fields`` once;
-    ==, hash, repr and the refused assignment are a frozen dataclass's."""
+    """Base of the value types: ``__init__`` checks its arguments, then sets
+    the fields of ``_fields`` once with ``_set``, the one place that writes
+    them; ==, hash, repr and the refused assignment are a frozen dataclass's."""
 
     _fields: tuple[str, ...] = ()
 
     def _set(self, *values) -> None:
         self.__dict__.update(zip(self._fields, values))
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        pass
 
     def _values(self) -> tuple:
         return tuple(map(self.__dict__.__getitem__, self._fields))
@@ -138,13 +135,11 @@ class TechnologyProfile(_Frozen):
     _fields = "alpha", "beta", "disruptive"
 
     def __init__(self, alpha: float, beta: float, disruptive: int = 0) -> None:
+        _check("alpha", alpha)
+        _check("beta", beta)
+        if not _is_dummy(disruptive):
+            raise DomainError(f"disruptive must be the dummy 0 or 1, got {disruptive!r}")
         self._set(alpha, beta, disruptive)
-
-    def __post_init__(self) -> None:
-        _check("alpha", self.alpha)
-        _check("beta", self.beta)
-        if not _is_dummy(self.disruptive):
-            raise DomainError(f"disruptive must be the dummy 0 or 1, got {self.disruptive!r}")
 
     @property
     def exponent(self) -> float:
@@ -158,11 +153,9 @@ class PeriodSpec(_Frozen):
     _fields = "vulnerability", "loss", "technology"
 
     def __init__(self, vulnerability: float, loss: float, technology: TechnologyProfile) -> None:
+        _check("vulnerability", vulnerability)
+        _check("loss", loss)
         self._set(vulnerability, loss, technology)
-
-    def __post_init__(self) -> None:
-        _check("vulnerability", self.vulnerability)
-        _check("loss", self.loss)
 
 
 class Scenario(_Frozen):
@@ -180,13 +173,13 @@ class Scenario(_Frozen):
                 for p in periods]
         if not rows:
             raise DomainError("a scenario needs at least one period")
-        self.__dict__.update(label=label, columns=tuple(zip(*rows)))
+        self._set(label, tuple(zip(*rows)))
 
     @classmethod
     def of_columns(cls, label: str, columns: tuple[tuple, ...]) -> "Scenario":
         """A scenario of nonempty columns in which ``first_invalid`` finds no fault."""
         scenario = cls.__new__(cls)
-        scenario.__dict__.update(label=label, columns=columns)
+        scenario._set(label, columns)
         return scenario
 
     @cached_property
@@ -209,14 +202,11 @@ class InvestmentPlan(_Frozen):
     _fields = ("amounts",)
 
     def __init__(self, amounts: tuple[float, ...]) -> None:
-        self._set(amounts)
-
-    def __post_init__(self) -> None:
-        amounts = tuple(self.amounts)
+        amounts = tuple(amounts)
         i = _first_fault(amounts, "loss")  # nonnegative, as a loss is
         if i < len(amounts):
             _check(f"amounts[{i}]", amounts[i], "loss")
-        self.__dict__["amounts"] = tuple(map(float, amounts))
+        self._set(tuple(map(float, amounts)))
 
     @property
     def total(self) -> float:
@@ -311,10 +301,6 @@ def net_total(terms: np.ndarray, label: str) -> float:
     return total
 
 
-def _scalar_or_array(out: ArrayLike) -> ArrayLike:
-    return out if isinstance(out, np.ndarray) else float(out)
-
-
 def _numbers(z: ArrayLike, name: str = "z", field: str = "loss") -> ArrayLike:
     """``z`` as a float or a float array, once each value passes ``_check`` as
     a ``field`` named ``name``; a list is scanned as its values, not as numpy casts them."""
@@ -332,21 +318,20 @@ def sbpf_eval(z: ArrayLike, v: float, tech: TechnologyProfile) -> ArrayLike:
     """Breach probability v / (alpha*z + 1)**(beta + d); lies in [0, v].
 
     Takes a scalar or an ndarray ``z`` and returns the same shape, evaluated
-    elementwise by ``breach``.
+    elementwise by ``breach``: a Python float for a number or a 0-d array.
     """
     z_arr = _numbers(z)
     _check("v", v, "vulnerability")
     # floats, as in a one-period view; the loss plays no part in S
-    out = breach(z_arr, PeriodBatch(*map(float, (tech.alpha, tech.exponent, v, 0.0))))
-    return _scalar_or_array(out)
+    return breach(z_arr, PeriodBatch(*map(float, (tech.alpha, tech.exponent, v, 0.0))))
 
 
 def ebis_eval(z: ArrayLike, period: PeriodSpec) -> ArrayLike:
     """Expected benefit [v - S(z, v)] * L; in [0, v*L), nondecreasing in z.
 
-    Takes a scalar or an ndarray ``z`` and returns the same shape.
+    Takes a scalar or an ndarray ``z`` and returns the same shape, as ``sbpf_eval`` does.
     """
-    return _scalar_or_array(ebis(_numbers(z), PeriodBatch.one(period)))
+    return ebis(_numbers(z), PeriodBatch.one(period))
 
 
 def enbis_eval(plan: InvestmentPlan, scenario: Scenario) -> float:

@@ -49,14 +49,16 @@ def z_star(batch: PeriodBatch) -> ArrayLike:
     is carried exactly as (hi + lo) * 2**e, so it neither overflows nor loses
     the digits that decide z* near the corner.
     """
-    if not isinstance(batch.alpha, np.ndarray):
-        # a one-period view: the steps below on Python floats, but with numpy's
-        # log, log1p and expm1, where math's may differ in the last bit
-        (hi, e), lo = math.frexp(batch[0]), 0.0
-        for factor in batch[1:]:
-            m, exponent = math.frexp(factor)
-            hi, error = _two_product(hi, m)
-            lo, e = lo * m + error, e + exponent
+    # hi in [1/16, 1), or 0 where a factor is 0: the frexp mantissas
+    # multiplied in double-double, and the exponents summed as integers; a
+    # one-period view stays on Python floats
+    frexp = np.frexp if isinstance(batch.alpha, np.ndarray) else math.frexp
+    (hi, e), lo = frexp(batch[0]), 0.0
+    for factor in batch[1:]:
+        m, exponent = frexp(factor)
+        hi, error = _two_product(hi, m)
+        lo, e = lo * m + error, e + exponent
+    if frexp is math.frexp:  # a view: numpy's log, log1p and expm1, where math's may differ in the last bit
         scale = e if abs(e) < 1000 else 0
         p = math.ldexp(hi, scale)
         if 0.5 < p < 2.0 and e == scale:
@@ -64,13 +66,6 @@ def z_star(batch: PeriodBatch) -> ArrayLike:
         else:
             log = float(np.log(p)) + (e - scale) * _LN2 if p else -math.inf
         return float(np.expm1(max(log, 0.0) / (batch.k + 1.0))) / batch.alpha
-    # hi in [1/16, 1), or 0 where a factor is 0: the frexp mantissas
-    # multiplied in double-double, and the exponents summed as integers
-    mantissas, exponents = np.frexp(batch)
-    hi, lo, e = mantissas[0], 0.0, exponents.sum(axis=0)
-    for m in mantissas[1:]:
-        hi, error = _two_product(hi, m)
-        lo = lo * m + error
     # the exponent where ldexp(hi, e) is a normal float, else 0
     scale = np.where(np.abs(e) < 1000, e, 0)
     with np.errstate(divide="ignore"):  # log 0 where v or L is 0: a corner

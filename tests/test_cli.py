@@ -506,8 +506,10 @@ def test_package_import_does_not_load_the_cli():
 
 
 GOLDENS = Path(__file__).parent / "goldens"
-# each subcommand on golden inputs: its argv, its golden (optimize has none) and
-# the modules that it must not load, beyond the dataclasses and cross-checks that no call loads
+# each subcommand on golden inputs, a usage error and --help: the argv, the
+# golden (if any) and the modules that the call must not load, beyond the
+# dataclasses and cross-checks that no call loads
+NO_MODEL = {"numpy", "secinvest.model", "secinvest.optimize", "secinvest.scenario_io", "secinvest.analysis"}
 COLD_CALLS = {
     "curve": (["curve", "--vulnerability", "0.5", "--loss", "100", "--alpha", "1", "--beta", "1",
                "--z-min", "0", "--z-max", "2", "--steps", "2", "--include-disrupted"],
@@ -520,6 +522,8 @@ COLD_CALLS = {
                  "--plan-a", "1", "--plan-b", "1"], "delta_z.txt", set()),
     "sweep": (["sweep", "--alpha", "1", "--beta", "1", "--vulnerability", "0.5", "--loss", "4,20"],
               "sweep.csv", {"json"}),
+    "usage-error": (["curve"], None, NO_MODEL),
+    "help": (["--help"], None, NO_MODEL),
 }
 
 
@@ -532,10 +536,11 @@ def _imported(stderr: str) -> set[str]:
 def test_a_cold_call_loads_only_what_its_subcommand_runs(command):
     argv, golden, unused = COLD_CALLS[command]
     result = _run_python("-X", "importtime", "-m", "secinvest.cli", *argv)
-    assert result.returncode == 0, result.stderr[-500:]
+    assert result.returncode == (2 if command == "usage-error" else 0), result.stderr[-500:]
     assert golden is None or result.stdout == (GOLDENS / golden).read_text()
     imported = _imported(result.stderr)
-    assert {"secinvest.model", "numpy"} <= imported  # the report lists what the call ran
+    # the report lists what the call ran
+    assert {"secinvest.errors", "secinvest.model", "numpy"} - unused <= imported
     assert not imported & {"dataclasses", "secinvest.check", *unused}
 
 
@@ -614,13 +619,13 @@ def test_optimize_and_delta_z_build_no_period_objects(scenario_file, capsys, mon
     }
     path = scenario_file("fifty.json", payload)
     built = []
-    post_init = PeriodSpec.__post_init__
+    init = PeriodSpec.__init__
 
-    def counted(self):
+    def counted(self, *args, **kwargs):
         built.append(self)
-        post_init(self)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(PeriodSpec, "__post_init__", counted)
+    monkeypatch.setattr(PeriodSpec, "__init__", counted)
     assert run_cli(["optimize", path]) == 0
     assert run_cli(["delta-z", path, path, "--optimize"]) == 0
     assert run_cli(["delta-z", path, path, "--strict", "--plan-a", "1," * 49 + "1"]) == 0

@@ -151,6 +151,21 @@ class TestEbis:
         assert np.all(second <= 1e-9)
 
 
+@pytest.mark.parametrize("z", [2, 2.0, np.float64(2.0), np.int64(2), np.array(2.0)],
+                         ids=["int", "float", "float64", "int64", "0-d"])
+def test_a_number_or_a_0d_array_gives_a_python_float(z):
+    for result, expected in ((sbpf_eval(z, 0.5, T1), 0.5 / 9), (ebis_eval(z, period()), 100.0 / 3)):
+        assert type(result) is float
+        assert result == pytest.approx(expected, rel=1e-15)
+
+
+@pytest.mark.parametrize("z", [[0.0, 1, 2.5], [[0.0], [1.0]], np.ones((2, 3))], ids=["list", "nested", "2-d"])
+def test_a_list_or_an_array_keeps_its_shape(z):
+    for result in (sbpf_eval(z, 0.5, T1), ebis_eval(z, period())):
+        assert type(result) is np.ndarray
+        assert result.shape == np.shape(z)
+
+
 class TestEnbis:
     def scenario(self, n=1):
         return Scenario("s", tuple(period() for _ in range(n)))

@@ -132,6 +132,14 @@ class TestClosedForm:
             assert closed_form_optimum(p) <= p.vulnerability * p.loss
 
 
+def test_optimize_forwards_the_cross_checks_to_check():
+    import secinvest.optimize as optimize
+    assert optimize.grid_oracle is check.grid_oracle
+    assert optimize.golden_section_optimum is check.golden_section_optimum
+    with pytest.raises(AttributeError, match="_ORACLE_LEAF"):
+        optimize._ORACLE_LEAF
+
+
 class TestGoldenSection:
     def test_agrees_with_closed_form(self):
         p = period()
