@@ -3,9 +3,6 @@ for a disruptive-technology discontinuity and scenario comparison."""
 
 import importlib
 
-# Nothing loads with the package. Cold calls' peak RSS (bench/run.py medians, MB) went cli-small
-# 30.11 -> 30.23, portfolio 33.82 -> 33.72, curves 33.77 -> 33.97, verify 37.75 -> 38.01: where
-# the heap's blocks fall when modules load later, not data held (measured in CHANGES.md)
 __version__ = "0.1.0"
 
 # each public name, in the order of __all__, and the module that defines it

@@ -11,6 +11,7 @@ import threading
 import numpy as np
 
 from .model import PeriodBatch, PeriodSpec, _check, ebis
+from .optimize import _grid_points
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # each step shrinks the bracket by _INV_PHI, and 3100 steps take even the
@@ -56,30 +57,15 @@ def golden_section_optimum(period: PeriodSpec, z_max: float, tol: float) -> floa
             d = a + _INV_PHI * (b - a)
             fd = ebis(d, batch) - d
     mid = 0.5 * (a + b)
-    # the corner z=0 can beat the interior midpoint when the optimum is flat
-    return 0.0 if ebis(0.0, batch) >= ebis(mid, batch) - mid else mid
-
-
-def _grid_points(i: np.ndarray, z_max: float, steps: int, out: np.ndarray | None = None) -> np.ndarray:
-    """``_uniform_grid(0.0, z_max, steps)`` at the ascending indices ``i``, as
-    linspace forms it, in ``out`` if given: i*step, or i/steps*z_max where
-    step underflows to 0; i*step may overflow in the last point, which is z_max."""
-    step = z_max / steps
-    with np.errstate(over="ignore"):
-        if step:
-            z = np.multiply(i, step, out=out)
-        else:
-            z = np.divide(i, steps, out=out)
-            z *= z_max
-    if i[-1] == steps:
-        z[-1] = z_max
-    return z
+    # the corner z=0, where S = v and so ebis is 0, can beat the interior
+    # midpoint when the optimum is flat
+    return 0.0 if 0.0 >= ebis(mid, batch) - mid else mid
 
 
 def grid_oracle(period: PeriodSpec, z_max: float, steps: int) -> float:
     """Brute-force maximizer over the uniform grid {0, z_max/steps, ..., z_max}.
 
-    The first maximum of ebis(z) - z over ``_uniform_grid(0.0, z_max, steps)``,
+    The first maximum of ebis(z) - z over ``np.linspace(0.0, z_max, steps + 1)``,
     bit for bit, found by branch and bound on the grid's indices. As ebis
     rises in z, no value on a range [a, b] exceeds (ebis(z_b) + pad) - z_a,
     with ``pad`` for the last-bit wobble of numpy's pow, and a range whose
@@ -150,7 +136,7 @@ def grid_oracle(period: PeriodSpec, z_max: float, steps: int) -> float:
         i = np.add(start[:, None], offset, out=i).ravel()
         i = i[: np.searchsorted(i, steps, "right")]
         last = np.minimum(i + (child - 1), steps) if child > 1 else i
-        z_end = _grid_points(last, z_max, steps, points[: i.size])
+        z_end = _grid_points(last, 0.0, z_max, steps, points[: i.size])
         ebis_end = ebis(z_end, batch, values[: i.size])
         if child == 1:  # the points of leaves, in index order
             net = np.subtract(ebis_end, z_end, out=ebis_end)
@@ -159,7 +145,7 @@ def grid_oracle(period: PeriodSpec, z_max: float, steps: int) -> float:
                 best, best_z = float(net[j]), float(z_end[j])
             continue
         incumbent = max(incumbent, float((ebis_end - z_end).max()))
-        z_start = _grid_points(i, z_max, steps)
+        z_start = _grid_points(i, 0.0, z_max, steps)
         with np.errstate(over="ignore"):
             # a range whose ends share one z holds one value, without wobble
             bound = (ebis_end + np.where(z_start < z_end, pad, 0.0)) - z_start

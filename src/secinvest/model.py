@@ -327,7 +327,8 @@ def sbpf_eval(z: ArrayLike, v: float, tech: TechnologyProfile) -> ArrayLike:
 
 
 def ebis_eval(z: ArrayLike, period: PeriodSpec) -> ArrayLike:
-    """Expected benefit [v - S(z, v)] * L; in [0, v*L), nondecreasing in z.
+    """Expected benefit [v - S(z, v)] * L; in [0, v*L], nondecreasing in z
+    (below v*L in exact arithmetic, but it rounds to v*L once S < ulp(v)/2).
 
     Takes a scalar or an ndarray ``z`` and returns the same shape, as ``sbpf_eval`` does.
     """

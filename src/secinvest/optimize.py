@@ -50,32 +50,29 @@ def z_star(batch: PeriodBatch) -> ArrayLike:
     the digits that decide z* near the corner.
     """
     # hi in [1/16, 1), or 0 where a factor is 0: the frexp mantissas
-    # multiplied in double-double, and the exponents summed as integers; a
-    # one-period view stays on Python floats
-    frexp = np.frexp if isinstance(batch.alpha, np.ndarray) else math.frexp
+    # multiplied in double-double, and the exponents summed as integers. A
+    # one-period view stays on Python floats but for numpy's log, log1p and
+    # expm1, where math's may differ in the last bit
+    if isinstance(batch.alpha, np.ndarray):
+        frexp, ldexp, where, fmax = np.frexp, np.ldexp, np.where, np.fmax
+    else:
+        frexp, ldexp, where, fmax = math.frexp, math.ldexp, lambda c, a, b: a if c else b, max
     (hi, e), lo = frexp(batch[0]), 0.0
     for factor in batch[1:]:
         m, exponent = frexp(factor)
         hi, error = _two_product(hi, m)
         lo, e = lo * m + error, e + exponent
-    if frexp is math.frexp:  # a view: numpy's log, log1p and expm1, where math's may differ in the last bit
-        scale = e if abs(e) < 1000 else 0
-        p = math.ldexp(hi, scale)
-        if 0.5 < p < 2.0 and e == scale:
-            log = float(np.log1p((p - 1.0) + math.ldexp(lo, scale)))
-        else:
-            log = float(np.log(p)) + (e - scale) * _LN2 if p else -math.inf
-        return float(np.expm1(max(log, 0.0) / (batch.k + 1.0))) / batch.alpha
     # the exponent where ldexp(hi, e) is a normal float, else 0
-    scale = np.where(np.abs(e) < 1000, e, 0)
+    scale = where(abs(e) < 1000, e, 0)
     with np.errstate(divide="ignore"):  # log 0 where v or L is 0: a corner
-        p = np.ldexp(hi, scale)
+        p = ldexp(hi, scale)
         log = np.log(p) + (e - scale) * _LN2
         # on (0.5, 2), p - 1 is exact (Sterbenz), so log1p also sees lo
         near = (0.5 < p) & (p < 2.0) & (e == scale)
-        log = np.where(near, np.log1p((p - 1.0) + np.ldexp(lo, scale)), log)
+        log = where(near, np.log1p((p - 1.0) + ldexp(lo, scale)), log)
     # expm1 keeps full precision as the product -> 1 (the corner)
-    return np.expm1(np.fmax(log, 0.0) / (batch.k + 1.0)) / batch.alpha
+    z = np.expm1(fmax(log, 0.0) / (batch.k + 1.0)) / batch.alpha
+    return z if frexp is np.frexp else float(z)
 
 
 def _two_product(a: ArrayLike, b: ArrayLike) -> tuple[ArrayLike, ArrayLike]:
@@ -95,14 +92,27 @@ def _split(a: ArrayLike) -> tuple[ArrayLike, ArrayLike]:
 
 def closed_form_optimum(period: PeriodSpec) -> float:
     """Optimal investment of one period: the one-period view of ``z_star``."""
-    return float(z_star(PeriodBatch.one(period)))
+    return z_star(PeriodBatch.one(period))
 
 
-def _uniform_grid(z_min: float, z_max: float, steps: int) -> np.ndarray:
-    """``steps + 1`` points from ``z_min`` to ``z_max``. Near the float maximum,
-    linspace's last step * index may overflow; it then sets that point to z_max."""
+def _grid_points(i: np.ndarray, z_min: float, z_max: float, steps: int, out: np.ndarray | None = None) -> np.ndarray:
+    """``np.linspace(z_min, z_max, steps + 1)`` at the ascending indices ``i``,
+    as linspace forms it, in ``out`` if given (a float ``i`` may be its own
+    ``out``): i*step + z_min, or i/steps*(z_max - z_min) + z_min where step
+    underflows to 0; i*step may overflow in the last point, which is z_max."""
+    delta, ends = z_max - z_min, i[-1] == steps
+    step = delta / steps
     with np.errstate(over="ignore"):
-        return np.linspace(float(z_min), float(z_max), int(steps) + 1)
+        if step:
+            z = np.multiply(i, step, out=out)
+        else:
+            z = np.divide(i, steps, out=out)
+            z *= delta
+        if z_min:  # adding 0 changes no point of a grid from 0
+            z += z_min
+    if ends:
+        z[-1] = z_max
+    return z
 
 
 def _optima(batch: PeriodBatch) -> tuple[np.recarray, ArrayLike]:
@@ -110,12 +120,10 @@ def _optima(batch: PeriodBatch) -> tuple[np.recarray, ArrayLike]:
     and its net benefit ebis - z*."""
     z = z_star(batch)
     columns = z, breach(z, batch), ebis(z, batch)
-    if isinstance(z, float):  # a one-period view: a 0-d row
-        table = np.array(columns, _OPTIMUM)
-    else:
-        table = np.recarray(z.size, _OPTIMUM)
-        for name, column in zip(_OPTIMUM.names, columns):
-            table[name] = column
+    table = np.empty(np.shape(z), _OPTIMUM)  # 0-d for a one-period view
+    for name, column in zip(_OPTIMUM.names, columns):
+        table[name] = column
+    table = table.view(np.recarray)
     table.flags.writeable = False  # per_period of a frozen result
     return table, columns[2] - z
 

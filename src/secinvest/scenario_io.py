@@ -29,7 +29,7 @@ from .model import (
     ebis_mix_curve,
     first_invalid,
 )
-from .optimize import _uniform_grid, closed_form_optimum
+from .optimize import _grid_points, closed_form_optimum
 
 _FIELD_SET = set(PERIOD_FIELDS)
 # Cells per block of fmt_rows (4 bytes each). Writing the 12**4-row sweep
@@ -205,7 +205,8 @@ def _z_grid(z_min: float, z_max: float, steps: int) -> np.ndarray:
     if not (z_min < z_max and steps <= MAX_GRID):
         raise DomainError(f"need z_min < z_max and steps <= {MAX_GRID}, got "
                           f"z_min={z_min}, z_max={z_max}, steps={steps}")
-    return _uniform_grid(z_min, z_max, steps)
+    i = np.arange(steps + 1.0)  # the grid is formed in place, in one array as in linspace
+    return _grid_points(i, float(z_min), float(z_max), steps, i)
 
 
 def _curve_table(period: PeriodSpec, z_min: float, z_max: float, steps: int, include_disrupted: bool):

@@ -23,11 +23,18 @@ from secinvest import (
     sbpf_eval,
 )
 from secinvest import check
-from secinvest.check import _GOLDEN_MAX_STEPS, _INV_PHI, _ORACLE_BLOCK, _grid_points
+from secinvest.check import _GOLDEN_MAX_STEPS, _INV_PHI, _ORACLE_BLOCK
 from secinvest.model import PeriodBatch, ebis
-from secinvest.optimize import _uniform_grid
+from secinvest.optimize import _grid_points
 
 LARGEST = 1.7976931348623157e308
+
+
+def linspace_grid(z_max, steps):
+    """numpy's own grid of the oracle: its last step * index may overflow near
+    the float maximum, and linspace then sets that point to z_max."""
+    with np.errstate(over="ignore"):
+        return np.linspace(0.0, z_max, steps + 1)
 
 
 def period(v=0.5, loss=20.0, alpha=1.0, beta=1.0, d=0):
@@ -287,7 +294,7 @@ def test_blocks_are_the_uniform_grid(monkeypatch, z_max, steps):
     monkeypatch.setattr("secinvest.check._grid_points", recording_points)
     monkeypatch.setattr("secinvest.check.ebis", recording_ebis)
     grid_oracle(period(), z_max, steps)
-    grid = _uniform_grid(0.0, z_max, steps)
+    grid = linspace_grid(z_max, steps)
     best = max(float((values - z).max()) for _, z, values, _ in calls if values is not None)
     covered = np.zeros(steps + 1, bool)
     for k, (i, z, values, _) in enumerate(calls):
@@ -433,7 +440,7 @@ _steps = st.one_of(
 # it, where ebis - z still rises
 @example(period(v=1.0, loss=1.0, alpha=1e308), 1600 * 5e-324, 1000)
 def test_blocks_give_the_first_argmax_over_the_whole_grid(p, z_max, steps):
-    z = _uniform_grid(0.0, z_max, steps)
+    z = linspace_grid(z_max, steps)
     values = ebis(z, PeriodBatch.one(p))
     values -= z
     expected = float(z[int(np.argmax(values))])
@@ -476,7 +483,7 @@ def _dipped_ebis(z, batch, out=None):
 @example(period(v=1.0, loss=1e25, beta=2.0), 3.0, 2 * 10**5)
 def test_pad_covers_an_ebis_that_is_not_monotone(p, scale, steps):
     z_max = closed_form_optimum(p) * scale + 1.0  # a peak inside the grid
-    z = _uniform_grid(0.0, z_max, steps)
+    z = linspace_grid(z_max, steps)
     values = _dipped_ebis(z, PeriodBatch.one(p))
     values -= z
     expected = float(z[int(np.argmax(values))])

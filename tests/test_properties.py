@@ -4,10 +4,11 @@ Valid finite inputs give finite results, the closed form matches a 50-digit
 reference, the Gordon-Loeb bound z* <= v*L/e holds, the scenario optimum,
 scenario total and sweep equal their per-period scalar forms (at and near the
 corner and where alpha*k*v*L overflows), every one-period view is bitwise the
-row of the batch kernel, every row of the whole-grid curve
-CSVs equals the one formatted from scalar evaluations, and every invalid
-input (nan, +-inf, bools, 400-digit ints, out-of-range values) fails with a
-ModelError subclass, in the library and through the CLI.
+row of the batch kernel, the curve grid is np.linspace bit for bit, every
+row of the whole-grid curve CSVs equals the one formatted from scalar
+evaluations, and every invalid input (nan, +-inf, bools, 400-digit ints,
+out-of-range values) fails with a ModelError subclass, in the library and
+through the CLI.
 The array SVG renderer draws what a per-point reference renderer draws from
 the same floats, in the library and through the CLI, the table
 writer's lines are those of Python's ``%``, and the columnar scenario parser
@@ -52,9 +53,9 @@ from secinvest import (
     sbpf_eval,
 )
 from secinvest.analysis import SHIFT_TOLERANCE
-from secinvest.model import breach, ebis
-from secinvest.optimize import _optima, z_star
-from secinvest.scenario_io import fmt, fmt_rows
+from secinvest.model import PeriodBatch, breach, ebis
+from secinvest.optimize import _grid_points, _optima, z_star
+from secinvest.scenario_io import _z_grid, fmt, fmt_rows
 
 PROPERTY = settings(deadline=None, max_examples=150)
 CLI_PROPERTY = settings(deadline=None, max_examples=60)
@@ -238,7 +239,11 @@ def test_one_period_views_are_rows_of_the_batch_call(pairs):
     batch = Scenario("x", tuple(ps)).batch
     z_rows, table, breach_rows, ebis_rows = z_star(batch), _optima(batch)[0], breach(z, batch), ebis(z, batch)
     for i, p in enumerate(ps):
+        assert type(closed_form_optimum(p)) is float
+        assert type(z_star(PeriodBatch.one(p))) is float
         assert bits(closed_form_optimum(p)) == bits(z_rows[i])
+        view_table = _optima(PeriodBatch.one(p))[0]
+        assert view_table.shape == () and not view_table.flags.writeable
         assert bits(optimize_period(p).tolist()) == bits(table[i].tolist())
         at = float(z[i])
         assert bits(ebis_eval(at, p)) == bits(ebis_rows[i])
@@ -494,6 +499,36 @@ def test_curve_rows_match_scalar_evaluation(p, z_min, width, steps, include_disr
     rows = emit_curve_csv(p, z_min, z_max, steps, include_disrupted).splitlines()
     grid = np.linspace(z_min, z_max, steps + 1).tolist()
     assert rows[1:len(grid) + 1] == [scalar_row(z, *curves) for z in grid]
+
+
+LARGEST = 1.7976931348623157e308
+
+
+@PROPERTY
+@given(
+    st.sampled_from([0.0, 5e-324]) | st.floats(5e-324, 1e-300) | st.floats(0.0, 1e300),
+    st.floats(5e-324, LARGEST),
+    st.integers(2, 2000),
+    st.integers(0, 2**32),
+)
+@example(0.0, 5e-324, 3, 0)  # a step that underflows to 0
+@example(1e-310, 1e-321, 1000, 1)  # and above a z_min
+@example(0.0, LARGEST, 3, 2)  # the last step * index overflows
+@example(1e300, LARGEST, 10**6, 3)
+@example(0.0, 1.0, 10**6, 4)
+@example(5e-324, 1e-300, 10**6, 5)
+def test_curve_grid_is_numpys_linspace(z_min, span, steps, seed):
+    """The curve grid is np.linspace bit for bit, and ``_grid_points``, which
+    the grid oracle also forms its points with, gives its points at any
+    ascending indices that end at ``steps``."""
+    z_max = min(z_min + span, LARGEST)
+    assume(z_min < z_max)
+    with np.errstate(over="ignore"):
+        expected = np.linspace(z_min, z_max, steps + 1)
+    assert _z_grid(z_min, z_max, steps).tobytes() == expected.tobytes()
+    rng = np.random.default_rng(seed)
+    i = np.union1d(rng.choice(steps + 1, min(steps, 100), replace=False), [steps])
+    assert _grid_points(i, z_min, z_max, steps).tobytes() == expected[i].tobytes()
 
 
 @PROPERTY
