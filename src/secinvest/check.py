@@ -21,11 +21,11 @@ _GOLDEN_MAX_STEPS = 3100
 # grid points per block of grid_oracle: 256 KiB of floats, so a block and its
 # values stay in a 4 MiB L2 cache; 32768 and 65536 ran equally fast
 _ORACLE_BLOCK = 32768
-# points of a grid_oracle leaf at most: a level's ranges go to ebis in one
-# call, so smaller leaves scan fewer points near a peak in as many calls; at
-# most _ORACLE_BLOCK, or a block holds no whole leaf (head is 0) and the
-# search loops forever
-_ORACLE_LEAF = 1024
+# points of a grid_oracle leaf at most, and ranges of its first level: a
+# level's ranges go to ebis in one call, so smaller leaves scan fewer points
+# near a peak in as many calls; at most _ORACLE_BLOCK, or a block holds no
+# whole leaf (head is 0) and the search loops forever
+_ORACLE_LEAF = 128
 # grid_oracle splits ranges 16 ways; smaller fans take more levels of calls
 _ORACLE_FAN = 16
 _oracle_buffers = threading.local()  # grid_oracle's block buffers, per thread
@@ -75,13 +75,13 @@ def grid_oracle(period: PeriodSpec, z_max: float, steps: int) -> float:
     dropped, as it holds no maximum. So is one whose bound is not above the
     best value of the leaves scanned: it lies after them, so a tie there is
     not the first maximum. A range is checked when it is visited, against the
-    values seen by then, so a flat grid of 10**8 steps takes about 70,000
+    values seen by then, so a flat grid of 10**8 steps takes about 100,000
     points and one of 2**53 steps about 330,000. The points of the leaves
     are scanned in index order, and a later block wins only with a greater
     value, so ties break toward the smallest z. Each call of ebis takes at
     most ``_ORACLE_BLOCK`` points, in buffers allocated once per thread. The
     bound is loose by about a range's width in z, so near a smooth peak 1e6
-    steps scan 2.6e3 to 4.1e4 points in 3 or 4 calls, 10**12 steps 7.4e6.
+    steps scan 6.3e2 to 1.6e4 points in 3 calls, 10**12 steps 7.3e6.
     """
     _check("z_max", z_max, "loss")
     _check("steps", steps)
@@ -91,12 +91,12 @@ def grid_oracle(period: PeriodSpec, z_max: float, steps: int) -> float:
     # should rise; among subnormals, by a unit of 5e-324 in S and in ebis
     pad = (8 * math.ulp(1.0) * batch.v + 1e-322) * batch.loss + 1e-322
     # Near a peak the points scanned grow as sqrt(leaf * steps). Leaves hold
-    # steps/8 points up to 2**13 steps, 1024 up to 2**27, 2**37/steps beyond.
+    # steps/8 points up to 2**10 steps, 128 up to 2**30, 2**37/steps beyond.
     leaf = max(32, min(steps // 8, 2**37 // steps, _ORACLE_LEAF))
     # The search starts from each range of the first level above the leaves
-    # whose children's ends fit in one call of ebis (or from the one leaf)
+    # with at most _ORACLE_LEAF ranges, 16 ends each (or from the one leaf)
     width = leaf if steps < leaf else leaf * _ORACLE_FAN
-    while (steps // width + 1) * _ORACLE_FAN > _ORACLE_BLOCK:
+    while steps // width >= _ORACLE_LEAF:
         width *= _ORACLE_FAN
     # A block's indices, points and values are formed in buffers that the
     # thread keeps from its first call: buffers freed at the end of a call go
@@ -105,6 +105,9 @@ def grid_oracle(period: PeriodSpec, z_max: float, steps: int) -> float:
         _oracle_buffers.blocks = np.empty(_ORACLE_BLOCK, np.int64), np.empty(_ORACLE_BLOCK), np.empty(_ORACLE_BLOCK)
     index, points, values = _oracle_buffers.blocks
     offsets = np.arange(leaf)  # of a leaf's points from its start
+    # only a subnormal step puts the point at steps - 1 above z_max; ebis at
+    # z_max then bounds no range ending there, so that range is never dropped
+    above = _grid_points(np.array([steps - 1]), 0.0, z_max, steps)[0] > z_max
     incumbent, best, best_z = -math.inf, -math.inf, 0.0
     # ascending range starts, their bounds and their width
     # np.arange(0, steps + 1, width) would size itself in floats, one start
@@ -124,7 +127,7 @@ def grid_oracle(period: PeriodSpec, z_max: float, steps: int) -> float:
         # a range whose bound lies strictly below the best value seen holds
         # no maximum; the ranges left to visit lie after the leaves scanned,
         # so neither does one that only ties with their best
-        keep = (bound >= incumbent) & (bound > best)
+        keep = bound > best if best >= incumbent else bound >= incumbent
         start, bound = start[keep], bound[keep]
         if not start.size:
             continue
@@ -134,13 +137,14 @@ def grid_oracle(period: PeriodSpec, z_max: float, steps: int) -> float:
         offset = offsets if child == 1 else np.arange(0, width, child)
         i = index[: start.size * offset.size].reshape(start.size, offset.size)
         i = np.add(start[:, None], offset, out=i).ravel()
-        i = i[: np.searchsorted(i, steps, "right")]
+        if start[-1] + offset[-1] > steps:  # only the last range may go past it
+            i = i[: np.searchsorted(i, steps, "right")]
         last = np.minimum(i + (child - 1), steps) if child > 1 else i
         z_end = _grid_points(last, 0.0, z_max, steps, points[: i.size])
         ebis_end = ebis(z_end, batch, values[: i.size])
         if child == 1:  # the points of leaves, in index order
             net = np.subtract(ebis_end, z_end, out=ebis_end)
-            j = int(np.argmax(net))
+            j = int(net.argmax())
             if net[j] > best:
                 best, best_z = float(net[j]), float(z_end[j])
             continue
@@ -149,9 +153,7 @@ def grid_oracle(period: PeriodSpec, z_max: float, steps: int) -> float:
         with np.errstate(over="ignore"):
             # a range whose ends share one z holds one value, without wobble
             bound = (ebis_end + np.where(z_start < z_end, pad, 0.0)) - z_start
-        if last[-1] == steps:
-            # where step is subnormal, linspace's z_max may lie below the
-            # point before it, so the range ending there is never dropped
+        if last[-1] == steps and above:
             bound[-1] = math.inf
         live.append((i.copy(), bound, child))  # i is a view of the index buffer
     return best_z

@@ -251,7 +251,9 @@ def breach(z: ArrayLike, batch: PeriodBatch, out: np.ndarray | None = None) -> A
     """The breach law S = v / (alpha*z + 1)**k with ``z`` broadcast against
     the periods: a float where ``z`` and the batch are floats (a one-period
     view at one point), else an array, in ``out`` if given."""
-    if isinstance(batch.alpha, np.ndarray) or getattr(z, "ndim", 0):
+    # a float z on a view is tested first: getattr raises and catches on it
+    if (z.__class__ is not float or batch.alpha.__class__ is not float) and (
+            isinstance(batch.alpha, np.ndarray) or getattr(z, "ndim", 0)):
         return _breach_arrays(z, batch, out)
     # Python floats: alpha*z + 1 overflows to inf without a warning, and s**k
     # (s, k >= 1) overflows only where k*log2(s) >= 1024, so the errstate that
@@ -284,7 +286,7 @@ def ebis(z: ArrayLike, batch: PeriodBatch, out: np.ndarray | None = None) -> Arr
     """Expected benefit [v - S(z, v)] * L, computed in the buffer of ``breach``
     (a float where ``breach`` gives one)."""
     s = breach(z, batch, out)
-    if not isinstance(s, np.ndarray):
+    if s.__class__ is float or not isinstance(s, np.ndarray):
         return (batch.v - s) * batch.loss
     np.subtract(batch.v, s, out=s)
     s *= batch.loss

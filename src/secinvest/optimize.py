@@ -35,7 +35,8 @@ class OptimizationResult(_Frozen):
 def __getattr__(name: str):  # the cross-checks, which live in check: no subcommand loads it
     if name in ("golden_section_optimum", "grid_oracle"):
         from . import check
-        return getattr(check, name)
+        globals()[name] = value = getattr(check, name)  # later reads skip this hook
+        return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

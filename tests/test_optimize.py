@@ -143,8 +143,12 @@ def test_optimize_forwards_the_cross_checks_to_check():
     import secinvest.optimize as optimize
     assert optimize.grid_oracle is check.grid_oracle
     assert optimize.golden_section_optimum is check.golden_section_optimum
+    # bound on first read, so that later reads skip the module's __getattr__
+    assert vars(optimize)["grid_oracle"] is check.grid_oracle
+    assert vars(optimize)["golden_section_optimum"] is check.golden_section_optimum
     with pytest.raises(AttributeError, match="_ORACLE_LEAF"):
         optimize._ORACLE_LEAF
+    assert "_ORACLE_LEAF" not in vars(optimize)
 
 
 class TestGoldenSection:
@@ -262,21 +266,31 @@ def test_leaves_fit_in_a_block():
 
 
 _B = _ORACLE_BLOCK
+# grids whose last leaf holds the points at steps - 1 and steps, with their
+# period and whether the point at steps - 1 is scanned: a normal step keeps
+# that point at or below z_max, so the leaf's bound drops it; a step of 1.6
+# subnormal units rounds to 2, which puts it above z_max, where ebis - z is
+# greatest, so the bound, taken at z_max, would drop the first maximum
+_LAST_RANGE = {
+    (10.0, 1001): (period(), False),
+    (1600 * 5e-324, 1001): (period(v=1.0, loss=1.0, alpha=1e308), True),
+}
 
 
 # linspace forms i/steps*z_max where z_max/steps underflows to 0: at 5e-324
 # and 3 steps its points are 0, 0, 5e-324, 5e-324, not 0, 0, 0, 5e-324
 @pytest.mark.parametrize("z_max, steps", [
     (0.0, 1), (5e-324, 3), (5e-320, _B + 1), (10.0, 3 * _B + 7), (10.0, 2 * _B), (LARGEST, 3), (LARGEST, _B + 1),
-    # leaves of 1024 points: at 10**6 steps the last one is cut short by
-    # steps; 1024 divides 2**20, so there the last leaf holds only the point
-    # at steps, where the maximum lies
-    (10.0, 10**6), (1.0, 2**20),
+    # at 10**6 steps the last leaf is cut short by steps; 2**20 is a
+    # multiple of its leaf, so there the last leaf holds only the point at
+    # steps, where the maximum lies
+    (10.0, 10**6), (1.0, 2**20), *_LAST_RANGE,
 ])
 def test_blocks_are_the_uniform_grid(monkeypatch, z_max, steps):
     """Each array handed to ebis is the grid at the indices it stands for,
     and each index is scanned or lies in a range whose bound, ebis at the
-    range's end minus z at its start, lies below the maximum found."""
+    range's end minus z at its start, lies below the maximum found, and
+    whose points lie at or below its end."""
     # [indices, points, ebis there or None, the array of points handed on],
     # one per set of points formed; copies, as the oracle reuses its buffers
     calls = []
@@ -293,10 +307,11 @@ def test_blocks_are_the_uniform_grid(monkeypatch, z_max, steps):
 
     monkeypatch.setattr("secinvest.check._grid_points", recording_points)
     monkeypatch.setattr("secinvest.check.ebis", recording_ebis)
-    grid_oracle(period(), z_max, steps)
+    p, last_scanned = _LAST_RANGE.get((z_max, steps), (period(), None))
+    grid_oracle(p, z_max, steps)
     grid = linspace_grid(z_max, steps)
     best = max(float((values - z).max()) for _, z, values, _ in calls if values is not None)
-    covered = np.zeros(steps + 1, bool)
+    covered, scanned = np.zeros(steps + 1, bool), np.zeros(steps + 1, bool)
     for k, (i, z, values, _) in enumerate(calls):
         if values is None:
             continue  # the starts of the ranges that the call before ends
@@ -304,17 +319,89 @@ def test_blocks_are_the_uniform_grid(monkeypatch, z_max, steps):
         assert z.tobytes() == grid[i].tobytes()
         if k + 1 < len(calls) and calls[k + 1][2] is None:
             for start, end, at_end in zip(calls[k + 1][0].tolist(), i.tolist(), values.tolist()):
-                if at_end - grid[start] < best:
+                if at_end - grid[start] < best and grid[start:end + 1].max() <= grid[end]:
                     covered[start:end + 1] = True
         else:  # a scan
-            covered[i] = True
+            covered[i] = scanned[i] = True
     assert covered.all()
+    if last_scanned is not None:
+        assert scanned[steps - 1] == last_scanned
 
 
-# leaves of 1024 points at 10**8 steps (2**37/steps is 1374) and of 32 at
+@settings(deadline=None, max_examples=200)
+@given(z_max=st.one_of(st.floats(5e-324, 1e-290), st.floats(5e-324, LARGEST)),
+       steps=st.one_of(st.integers(1, 2 * 10**5), st.integers(1, 2**53)))
+@example(1600 * 5e-324, 1000)  # a step of 1.6 units, which rounds to 2
+@example(5e-324, 2**53)  # step underflows to 0, and (steps - 1)/steps rounds to 1
+@example(2.2250738585072014e-308, 2**53)  # the smallest normal z_max
+@example(LARGEST, 2**53)
+@example(LARGEST, 2**53 - 1)
+@example(1e-300, 2**53)
+@example(3 * 5e-324, 2**53 - 1)
+def test_the_last_range_is_kept_exactly_where_its_points_pass_z_max(z_max, steps):
+    """The range that ends at steps is kept whatever its bound exactly where
+    the grid's point at steps - 1 lies above z_max, which a normal step never
+    puts there: with every other range dropped, the search makes a second
+    call of ebis only for it, unless the first call took every point."""
+    sizes = []
+
+    def spy(z, batch, out=None):  # -inf everywhere, so every bound drops its range
+        sizes.append(z.size)
+        return np.full_like(z, -math.inf)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("secinvest.check.ebis", spy)
+        grid_oracle(period(), z_max, steps)
+    above = _grid_points(np.array([steps - 1]), 0.0, z_max, steps)[0] > z_max
+    assert (len(sizes) > 1) == (above and sizes[0] <= steps)
+    if z_max / steps >= 2.2250738585072014e-308:
+        assert not above
+
+
+def _benchmark_period(rng):
+    """A baseline period drawn as the benchmark's verify workload draws them:
+    30% below the corner, 20% within 1e-10 to 1e-3 of it, the rest inside."""
+    alpha, beta, v = 10.0 ** rng.uniform(-2.0, 1.0), rng.uniform(1.0, 5.0), rng.uniform(0.05, 1.0)
+    scale, regime = alpha * beta * v, rng.uniform()
+    if regime < 0.3:
+        loss = rng.uniform(0.0, 0.999) / scale
+    elif regime < 0.5:
+        loss = (1.0 + 10.0 ** rng.uniform(-10.0, -3.0)) / scale
+    else:
+        loss = rng.uniform(1.01 / scale, 1e6)
+    return period(v, loss, alpha, beta)
+
+
+def test_benchmark_periods_take_few_points(monkeypatch):
+    """On 256 periods of the benchmark's ranges, a million-step call with
+    z_max = v*L + 1 evaluates under 5,000 points on average (about 2,650
+    with leaves of 128; about 8,270 with leaves of 1024 and the last range
+    kept on every call), and no call of ebis holds only the grid's last
+    points, which lie beyond the optimum."""
+    calls = []  # per call of ebis: its number of points and its first, least z
+
+    def counting_ebis(z, batch, out=None):
+        calls.append((z.size, float(z[0])))
+        return ebis(z, batch, out)
+
+    monkeypatch.setattr("secinvest.check.ebis", counting_ebis)
+    rng, steps, points = np.random.default_rng(2029), 10**6, []
+    for _ in range(256):
+        p = _benchmark_period(rng)
+        z_max = p.vulnerability * p.loss + 1.0
+        calls.clear()
+        best_z = grid_oracle(p, z_max, steps)
+        tail = (steps - 1024) * (z_max / steps)  # the last 1024 steps
+        assert best_z < tail
+        assert all(first < tail for _, first in calls)
+        points.append(sum(size for size, _ in calls))
+    assert np.mean(points) < 5000
+
+
+# leaves of 128 points at 10**8 steps (2**37/steps is 1374) and of 32 at
 # 10**12 (2**37/steps is 0); the budgets are the measured 362,618 and 7.3
-# million points of ebis and peaks of 0.98 and 2.8 MB, with some room: a
-# few blocks per level
+# million points of ebis (with leaves of 1024 at 10**8; 132,127 with leaves
+# of 128) and peaks of 0.98 and 2.8 MB, with some room: a few blocks per level
 @pytest.mark.parametrize("steps, points, memory", [(10**8, 4 * 10**5, 1.3e6), (10**12, 8 * 10**6, 8e6)],
                          ids=["1e8", "1e12"])
 def test_huge_grid_in_bounded_work(monkeypatch, steps, points, memory):
@@ -365,8 +452,9 @@ def count_ebis(monkeypatch, budget):
 @pytest.mark.parametrize("steps", [10**6, 2**20])
 def test_leaves_near_a_peak_keep_the_scan_narrow(monkeypatch, steps):
     """Near a smooth peak the points scanned grow as sqrt(leaf * steps):
-    leaves of 1024 points take about 37,000 points of ebis at 10**6 and 2**20
-    steps, where leaves of 32768 took about 250,000 and 200,000."""
+    leaves of 128 points take about 14,000 points of ebis at 10**6 and 2**20
+    steps, leaves of 1024 about 37,000 and leaves of 32768 about 250,000 and
+    200,000."""
     count_ebis(monkeypatch, 60_000)
     assert grid_oracle(period(), 10.0, steps) == pytest.approx(math.sqrt(10) - 1, abs=2 * 10.0 / steps)
 
@@ -392,7 +480,7 @@ def test_the_first_level_reaches_the_last_point(monkeypatch, steps):
 def test_ranges_queued_before_the_first_scan_are_bounded_again(monkeypatch, z_max):
     """The first descent queues whole blocks of ranges while no value has been
     scanned; they are checked against the best value when popped, so 10**8
-    steps take about 70,000 points, not 45 million."""
+    steps take about 100,000 points, not 45 million."""
     count_ebis(monkeypatch, 10**6)
     assert grid_oracle(period(), z_max, 10**8) == 0.0
 
@@ -432,13 +520,14 @@ _steps = st.one_of(
 @example(period(beta=1.0, d=1), 20.0, 2 * 10**5)
 @example(period(beta=2.0, d=0), 20.0, 2 * 10**5)
 @example(period(v=1e-310, loss=1e300, alpha=1e12), 1e-10, 2 * 10**5)  # subnormal v
-# leaves of 1024 points at 10**6 and 2**20 steps; 1024 divides 2**20, so
+# leaves of 128 points at 10**6 and 2**20 steps; 128 divides 2**20, so
 # there the last leaf holds only the point at steps, here the maximum
 @example(period(), 20.0, 10**6)
 @example(period(beta=2.0, d=0), 1.0, 2**20)
 # a subnormal step: linspace's last point, z_max, lies below the one before
-# it, where ebis - z still rises
+# it, where ebis - z still rises; at 1001 steps the two share the last leaf
 @example(period(v=1.0, loss=1.0, alpha=1e308), 1600 * 5e-324, 1000)
+@example(period(v=1.0, loss=1.0, alpha=1e308), 1600 * 5e-324, 1001)
 def test_blocks_give_the_first_argmax_over_the_whole_grid(p, z_max, steps):
     z = linspace_grid(z_max, steps)
     values = ebis(z, PeriodBatch.one(p))
@@ -450,13 +539,14 @@ def test_blocks_give_the_first_argmax_over_the_whole_grid(p, z_max, steps):
 @settings(deadline=None, max_examples=40)
 @given(p=_periods, z_max=_z_maxes, steps=_steps)
 @example(period(), 20.0, 10**6)
-@example(period(beta=2.0, d=0), 1.0, 2**20)  # the last leaf of 1024 points is one point
+@example(period(beta=2.0, d=0), 1.0, 2**20)  # the last leaf is one point
 @example(period(v=1.0, loss=1e30), 2e15, 4 * _B)  # a plateau of ties across leaves
 def test_leaf_size_does_not_change_the_result(p, z_max, steps):
-    """Leaves of 32, 1024 or 32768 points give the same first maximum: the
-    leaf only decides how far ranges are split before their points are scanned."""
+    """Leaves of 32, 128, 1024 or 32768 points give the same first maximum:
+    the leaf only decides how far ranges are split before their points are
+    scanned, and how many ranges the search starts from."""
     results = set()
-    for leaf in (32, 1024, 32768):
+    for leaf in (32, 128, 1024, 32768):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr("secinvest.check._ORACLE_LEAF", leaf)
             results.add(grid_oracle(p, z_max, steps).hex())
