@@ -7,12 +7,15 @@ goes to stdout, diagnostics to stderr. Exit 0 on success, 1 on domain/contract
 errors, a stdout that cannot take the output (a full disk) or one that its
 reader closed (with nothing on stderr), 2 on usage errors. Handlers import
 what they run, so a call loads only its subcommand's code, and a usage error
-or ``--help`` loads neither ``model`` nor numpy.
+or ``--help`` loads neither ``model`` nor numpy. ``main`` freezes the heap
+once the output is written, so the interpreter's exit skips its full
+collections over every object the call left tracked.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from pathlib import Path
@@ -90,8 +93,12 @@ def _cmd_curve(args) -> tuple:
 
 
 def _cmd_mix_curve(args) -> tuple:
+    from .model import _check
     from .scenario_io import _mix_table, _z_grid
     period_pre = _period_from_args(args)
+    for name, value in ("alpha", args.alpha_post), ("beta", args.beta_post):
+        if value is not None:  # named as its flag, not as the pre-switch value
+            _check(f"{name}_post", value, name)
     period_post = _period_from_args(args, args.alpha_post, args.beta_post, 1)
     table = _mix_table(period_pre, period_post, args.switch_index, _z_grid(*_grid_args(args)))
     if args.svg is not None:
@@ -217,7 +224,9 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run_cli())
+    code = run_cli()
+    gc.freeze()  # the exit's collections then skip every object numpy and the call left tracked
+    sys.exit(code)
 
 
 if __name__ == "__main__":

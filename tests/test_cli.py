@@ -1,3 +1,4 @@
+import gc
 import inspect
 import json
 import os
@@ -548,6 +549,38 @@ def test_a_bare_import_loads_only_the_package():
     result = _run_python("-X", "importtime", "-c", "import secinvest")
     assert result.returncode == 0, result.stderr[-500:]
     assert {m for m in _imported(result.stderr) if m.split(".")[0] == "secinvest"} == {"secinvest"}
+
+
+def test_main_freezes_the_heap_before_the_exit_and_run_cli_does_not(capsys):
+    # the exit's collections skip a frozen heap; atexit hooks still run after it
+    argv, golden, _ = COLD_CALLS["sweep"]
+    code = (
+        "import atexit, gc, sys; from secinvest.cli import main; "
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr)); main()"
+    )
+    result = _run_python("-c", code, *argv)
+    assert result.returncode == 0
+    assert result.stdout == (GOLDENS / golden).read_text()
+    assert result.stderr == "frozen True\n"
+    before = gc.get_freeze_count()
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().out == result.stdout
+    assert gc.get_freeze_count() == before  # in-process callers never freeze
+
+
+def test_a_frozen_exit_leaves_stdout_and_the_svg_complete(tmp_path, capsys):
+    # no finalizer runs on the frozen heap, so neither file may depend on one;
+    # both outputs span many write buffers
+    argv = ["curve", *PERIOD_ARGS, "--steps", "5000", "--include-disrupted", "--svg"]
+    assert run_cli([*argv, str(tmp_path / "warm.svg")]) == 0
+    expected = capsys.readouterr().out
+    env = dict(os.environ, PYTHONPATH=str(Path(secinvest.__file__).parents[1]))
+    with open(tmp_path / "cold.csv", "w") as out:
+        result = subprocess.run([sys.executable, "-m", "secinvest.cli", *argv, str(tmp_path / "cold.svg")],
+                                env=env, stdout=out, stderr=subprocess.PIPE, text=True, check=False)
+    assert result.returncode == 0 and result.stderr == ""
+    assert (tmp_path / "cold.csv").read_bytes() == expected.encode()
+    assert (tmp_path / "cold.svg").read_bytes() == (tmp_path / "warm.svg").read_bytes()
 
 
 # 17 * 2 * 121 = 4114 tuples, more than one block of rows; "-0" must print 0.000000

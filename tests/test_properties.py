@@ -790,10 +790,12 @@ def run(argv):
 
 
 def assert_rejected(argv):
+    """The call exits 1 with an error and prints no non-finite value; returns its stderr."""
     code, out, err = run(argv)
     assert code == 1, (argv, out, err)
     assert err.startswith("error: "), (argv, err)
     assert "nan" not in out and "inf" not in out
+    return err
 
 
 @pytest.fixture(scope="module")
@@ -839,7 +841,9 @@ def test_cli_rejects_bad_curve_flags(case, data):
     flags = dict(PERIOD_FLAGS, **{"--steps": "4", flag: data.draw(bad)})
     if command == "mix-curve":
         flags["--switch-index"] = "2"
-    assert_rejected(argv_for(command, flags))
+    err = assert_rejected(argv_for(command, flags))
+    if flag.endswith("-post"):  # the error names the flag, not the pre-switch value
+        assert err.startswith(f"error: {flag[2:].replace('-', '_')} "), err
 
 
 @CLI_PROPERTY
